@@ -1,5 +1,5 @@
 //! **INNER_SOLVER** — sweep-count benchmark for the per-group inner solve
-//! kernels: Jacobi (the bit-exact baseline), Gauss–Seidel, SOR, and
+//! kernels: Jacobi (the bit-exact baseline), Gauss–Seidel, and
 //! Gauss–Seidel under the adaptive inner–outer tolerance schedule.
 //!
 //! Every mode drives the *same* outer process (the paper's asynchronous
@@ -25,12 +25,7 @@
 //! 3. Every non-Jacobi mode agrees with Jacobi to 1e-12 with an exactly
 //!    matching top-10 at every grid point.
 //!
-//! SOR (ω ≠ 1) is excluded from the sweep-win asserts by design: its
-//! relaxed update `(1−ω)x + ωx̂` never reproduces the fixed point
-//! bitwise, so it never engages the stall short-circuit and pays one
-//! touch-up sweep per window forever (see DESIGN.md §15).
-//!
-//! Usage: `inner_solver [--t-end T] [--sor-omega W] [--quick] [--out PATH]`
+//! Usage: `inner_solver [--t-end T] [--quick] [--out PATH]`
 //!
 //! `--quick` shrinks the grid for CI smoke testing while keeping all
 //! three asserts live. `--out` writes the JSON payload to the given path
@@ -78,7 +73,6 @@ struct GridRow {
 struct Payload {
     quick: bool,
     t_end: f64,
-    sor_omega: f64,
     /// inner_sweeps(jacobi) / inner_sweeps(gauss-seidel) on the reference
     /// (smallest-scale) DPR1 point — the work-proportionality headline.
     sweep_ratio_gs_dpr1: f64,
@@ -103,7 +97,6 @@ fn main() {
     let args = BenchArgs::from_env("inner_solver");
     let quick = args.flag("quick");
     let t_end = args.get("t-end", if quick { 300.0 } else { 600.0f64 });
-    let sor_omega = args.get("sor-omega", 1.1f64);
 
     // Group size is the lever that makes tolerance matter: with ~1000+
     // pages per group the inner solves genuinely take many sweeps, so
@@ -113,10 +106,9 @@ fn main() {
     } else {
         &[(100_000, 100, 50, 256), (1_000_000, 100, 100, 256)]
     };
-    let modes: [(&str, InnerSolver, bool); 4] = [
+    let modes: [(&str, InnerSolver, bool); 3] = [
         ("jacobi", InnerSolver::Jacobi, false),
         ("gauss-seidel", InnerSolver::GaussSeidel, false),
-        ("sor", InnerSolver::Sor { omega: sor_omega }, false),
         ("gs+adaptive", InnerSolver::GaussSeidel, true),
     ];
 
@@ -246,6 +238,6 @@ fn main() {
     }
     println!("gauss-seidel sweep win over jacobi (reference DPR1): {sweep_ratio_gs_dpr1:.2}x");
 
-    let payload = Payload { quick, t_end, sor_omega, sweep_ratio_gs_dpr1, grid };
+    let payload = Payload { quick, t_end, sweep_ratio_gs_dpr1, grid };
     args.emit(&payload).expect("write experiment json");
 }

@@ -1,23 +1,20 @@
 //! **NETRUN_HOTPATH** — message-path microbenchmark for the §4.4/§4.5
 //! transmission hot path: route caching, update coalescing, and the
-//! allocation-light transport. Runs the full network simulation in four
-//! modes and reports throughput, bytes on wire, route-cache behavior, and
-//! an allocations-per-delivery proxy:
+//! allocation-light transport. Runs the full network simulation under both
+//! transmission schemes — `direct` (per-owner batching after a priced
+//! lookup) and `indirect` (§4.4 hop-by-hop forwarding with per-relay
+//! coalescing) — and reports throughput, bytes on wire, route-cache
+//! behavior, and an allocations-per-delivery proxy.
 //!
-//! * `direct-baseline`   — per-part lookups and sends, no cache (pre-PR)
-//! * `direct-fast`       — per-owner batching + route cache
-//! * `indirect-baseline` — per-hop forwarding, no merge, no cache
-//! * `indirect-fast`     — §4.4 hop coalescing + route cache
-//!
-//! Steady-state cache behavior is isolated by running each cached mode
-//! twice — to `t_end/2` and to `t_end` — and diffing the (deterministic)
+//! Steady-state cache behavior is isolated by running each mode twice —
+//! to `t_end/2` and to `t_end` — and diffing the (deterministic)
 //! counters, so warm-up misses don't dilute the steady hit rate.
 //!
 //! Usage: `netrun_hotpath [--pages N] [--sites S] [--groups K] [--nodes M]
 //!         [--t-end T] [--quick] [--out PATH]`
 //!
 //! `--quick` shrinks the workload for CI smoke testing and asserts the
-//! steady-state route-cache hit rate is nonzero in every cached mode.
+//! steady-state route-cache hit rate is nonzero in both modes.
 //! `--out` additionally writes the JSON payload to the given path (used to
 //! commit `BENCH_netrun.json` at the repo root).
 
@@ -34,8 +31,6 @@ use serde::Serialize;
 struct Row {
     mode: String,
     transmission: String,
-    coalesce: bool,
-    route_cache: bool,
     /// Wall-clock seconds for the full run.
     wall_secs: f64,
     /// Simulator deliveries per wall-clock second — the throughput the
@@ -54,9 +49,8 @@ struct Row {
     /// Hit rate over the second half of the run only.
     steady_hit_rate: f64,
     /// Fresh route computations (each allocates a route vector) per data
-    /// message — the proxy for allocations on the delivery path. The
-    /// uncached modes price every lookup as an allocation; the cached
-    /// modes only the misses.
+    /// message — the proxy for allocations on the delivery path (only
+    /// cache misses walk the overlay).
     route_allocs_per_msg: f64,
     final_rel_err: f64,
 }
@@ -70,21 +64,10 @@ struct Payload {
     t_end: f64,
     quick: bool,
     rows: Vec<Row>,
-    /// Headline acceptance numbers: bytes on wire of each optimized mode
-    /// relative to the pre-PR `direct-baseline`.
-    bytes_reduction_direct_fast: f64,
-    bytes_reduction_indirect_fast: f64,
 }
 
-fn run_mode(
-    name: &str,
-    g: &WebGraph,
-    base: &NetRunConfig,
-    transmission: Transmission,
-    coalesce: bool,
-    route_cache: bool,
-) -> Row {
-    let cfg = NetRunConfig { transmission, coalesce, route_cache, ..base.clone() };
+fn run_mode(name: &str, g: &WebGraph, base: &NetRunConfig, transmission: Transmission) -> Row {
+    let cfg = NetRunConfig { transmission, ..base.clone() };
     // Deterministic prefix run to t_end/2: its counters are exactly the
     // full run's first half, so the diff isolates steady-state behavior.
     let half = try_run_over_network(g, NetRunConfig { t_end: cfg.t_end / 2.0, ..cfg.clone() })
@@ -98,8 +81,6 @@ fn run_mode(
     let row = Row {
         mode: name.to_string(),
         transmission: format!("{transmission:?}"),
-        coalesce,
-        route_cache,
         wall_secs: wall,
         deliveries_per_sec: full.sim_stats.deliveries as f64 / wall.max(1e-9),
         data_messages: full.counters.data_messages,
@@ -118,7 +99,7 @@ fn run_mode(
     };
     assert!(row.final_rel_err < 1e-3, "{name}: run must converge (rel err {})", row.final_rel_err);
     eprintln!(
-        "[netrun_hotpath] {name:>17}: {:.3}s, {} data msgs, {} bytes, \
+        "[netrun_hotpath] {name:>8}: {:.3}s, {} data msgs, {} bytes, \
          hit rate {:.1}% (steady {:.1}%), {} parts coalesced",
         row.wall_secs,
         row.data_messages,
@@ -160,33 +141,18 @@ fn main() {
     };
 
     let rows = vec![
-        run_mode("direct-baseline", &g, &base, Transmission::Direct, false, false),
-        run_mode("direct-fast", &g, &base, Transmission::Direct, true, true),
-        run_mode("indirect-baseline", &g, &base, Transmission::Indirect, false, false),
-        run_mode("indirect-fast", &g, &base, Transmission::Indirect, true, true),
+        run_mode("direct", &g, &base, Transmission::Direct),
+        run_mode("indirect", &g, &base, Transmission::Indirect),
     ];
-
-    let baseline_bytes = rows[0].bytes_on_wire as f64;
-    let reduction = |r: &Row| 1.0 - r.bytes_on_wire as f64 / baseline_bytes;
-    let payload = Payload {
-        pages,
-        sites,
-        groups,
-        nodes,
-        t_end,
-        quick,
-        bytes_reduction_direct_fast: reduction(&rows[1]),
-        bytes_reduction_indirect_fast: reduction(&rows[3]),
-        rows,
-    };
+    let payload = Payload { pages, sites, groups, nodes, t_end, quick, rows };
 
     println!(
-        "{:>17}  {:>10}  {:>12}  {:>9}  {:>8}  {:>8}",
+        "{:>8}  {:>10}  {:>12}  {:>9}  {:>8}  {:>8}",
         "mode", "data msgs", "bytes", "hit rate", "steady", "allocs/msg"
     );
     for r in &payload.rows {
         println!(
-            "{:>17}  {:>10}  {:>12}  {:>8.1}%  {:>7.1}%  {:>9.3}",
+            "{:>8}  {:>10}  {:>12}  {:>8.1}%  {:>7.1}%  {:>9.3}",
             r.mode,
             r.data_messages,
             r.bytes_on_wire,
@@ -195,23 +161,12 @@ fn main() {
             r.route_allocs_per_msg
         );
     }
-    println!(
-        "bytes vs direct-baseline: direct-fast −{:.1}%, indirect-fast −{:.1}%",
-        100.0 * payload.bytes_reduction_direct_fast,
-        100.0 * payload.bytes_reduction_indirect_fast,
-    );
 
-    // CI smoke contract: the cached modes must actually be hitting once
-    // warm — a zero steady-state hit rate means the cache is being flushed
-    // or bypassed on the hot path.
+    // CI smoke contract: the route cache must actually be hitting once
+    // warm — a zero steady-state hit rate means it is being flushed on the
+    // hot path.
     for r in &payload.rows {
-        if r.route_cache {
-            assert!(
-                r.steady_hit_rate > 0.0,
-                "{}: steady-state route-cache hit rate is zero",
-                r.mode
-            );
-        }
+        assert!(r.steady_hit_rate > 0.0, "{}: steady-state route-cache hit rate is zero", r.mode);
     }
 
     args.emit(&payload).expect("write experiment json");

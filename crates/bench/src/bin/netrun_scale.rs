@@ -4,28 +4,24 @@
 //!
 //! Two sections:
 //!
-//! 1. **Speedup grid** (the regression harness): the 100k-page reference
-//!    config runs under all four engine combinations — `{BinaryHeap, Slab}`
-//!    × `{full-rebuild, dirty-row cache}` — with bit-identical results by
-//!    construction (same `(time, seq)` dequeue order, same row sums). The
-//!    `speedup` headline is events/sec of the fast engine over the legacy
-//!    `heap-baseline`, and the full (non-`--quick`) run asserts it ≥ 2×.
-//! 2. **Scale sweep**: the fast engine alone on growing workloads up to
-//!    one million pages on ≥256 overlay nodes, recording events/sec,
-//!    sends/sec, and the scheduler's arena high-water mark (its
-//!    peak-memory proxy: slots are recycled through a free list, so
-//!    `arena_slots` is exactly the peak number of simultaneously pending
-//!    events, never the push count).
+//! 1. **Reference run** (the regression harness): the 100k-page reference
+//!    config, best engine time of `--reps` runs, which must all replay the
+//!    same rank bits and engine statistics. Records events/sec, sends/sec,
+//!    rows recomputed and the scheduler's arena high-water mark.
+//! 2. **Scale sweep**: growing workloads up to one million pages on ≥256
+//!    overlay nodes, recording events/sec, sends/sec, and the scheduler's
+//!    arena high-water mark (its peak-memory proxy: slots are recycled
+//!    through a free list, so `arena_slots` is exactly the peak number of
+//!    simultaneously pending events, never the push count).
 //!
 //! Usage: `netrun_scale [--pages N] [--sites S] [--groups K] [--nodes M]
 //!         [--t-end T] [--sample-every T] [--sweep-t-end T] [--reps R]
 //!         [--dpr2] [--quick] [--no-sweep] [--out PATH]`
 //!
-//! `--quick` shrinks the grid for CI smoke testing; it still asserts
-//! bit-identical ranks across engines, steady-state arena recycling
-//! (pushes ≫ arena slots), and that the fast engine is not slower than
-//! the legacy one. `--out` writes the JSON payload to the given path
-//! (used to commit `BENCH_scale.json` at the repo root).
+//! `--quick` shrinks both sections for CI smoke testing; it still asserts
+//! bit-identical replays and steady-state arena recycling (pushes ≫ arena
+//! slots). `--out` writes the JSON payload to the given path (used to
+//! commit `BENCH_scale.json` at the repo root).
 
 use std::time::Instant;
 
@@ -34,21 +30,16 @@ use dpr_core::{try_run_over_network, DprVariant, NetRunConfig, NetRunResult};
 use dpr_graph::generators::edu::{edu_domain, EduDomainConfig};
 use dpr_graph::WebGraph;
 use dpr_partition::Strategy;
-use dpr_sim::SchedulerKind;
 use serde::Serialize;
 
 #[derive(Serialize)]
 struct EngineRow {
-    mode: String,
-    scheduler: String,
-    ext_cache: bool,
     wall_secs: f64,
     /// Wall-clock seconds inside the event loop only (setup — graph
     /// partitioning, the centralized reference solve, context assembly —
-    /// is identical work across modes and excluded).
+    /// is excluded).
     engine_secs: f64,
-    /// Engine events (wakes + message deliveries) per engine second —
-    /// identical event counts across modes, so the ratio is pure speed.
+    /// Engine events (wakes + message deliveries) per engine second.
     events_per_sec: f64,
     sends_per_sec: f64,
     wakes: u64,
@@ -96,10 +87,7 @@ struct Payload {
     t_end: f64,
     quick: bool,
     variant: String,
-    grid: Vec<EngineRow>,
-    /// events/sec of slab+cache over heap+full-rebuild on the reference
-    /// config — the regression harness headline.
-    speedup_events_per_sec: f64,
+    reference: EngineRow,
     sweep: Vec<SweepRow>,
 }
 
@@ -109,13 +97,10 @@ fn timed_run(g: &WebGraph, cfg: NetRunConfig) -> (NetRunResult, f64) {
     (res, t0.elapsed().as_secs_f64())
 }
 
-fn engine_row(name: &str, cfg: &NetRunConfig, res: NetRunResult, wall: f64) -> EngineRow {
+fn engine_row(res: &NetRunResult, wall: f64) -> EngineRow {
     let events = res.sim_stats.wakes + res.sim_stats.deliveries;
     let engine = res.engine_secs.max(1e-9);
     let row = EngineRow {
-        mode: name.to_string(),
-        scheduler: format!("{:?}", cfg.scheduler),
-        ext_cache: cfg.ext_cache,
         wall_secs: wall,
         engine_secs: res.engine_secs,
         events_per_sec: events as f64 / engine,
@@ -133,7 +118,7 @@ fn engine_row(name: &str, cfg: &NetRunConfig, res: NetRunResult, wall: f64) -> E
         final_rel_err: res.final_rel_err,
     };
     eprintln!(
-        "[netrun_scale] {name:>14}: {:.3}s engine ({:.3}s total), {:.0} events/s, \
+        "[netrun_scale] reference: {:.3}s engine ({:.3}s total), {:.0} events/s, \
          {:.0} sends/s, rows {}",
         row.engine_secs, row.wall_secs, row.events_per_sec, row.sends_per_sec, row.rows_recomputed
     );
@@ -181,80 +166,36 @@ fn main() {
         ..NetRunConfig::default()
     };
 
-    // Speedup grid: the legacy engine (BinaryHeap events, full X rebuild
-    // and allocating solve every think step) against each optimization
-    // alone and both together.
-    let modes: [(&str, SchedulerKind, bool); 4] = [
-        ("heap-baseline", SchedulerKind::BinaryHeap, false),
-        ("slab-only", SchedulerKind::Slab, false),
-        ("cache-only", SchedulerKind::BinaryHeap, true),
-        ("slab+cache", SchedulerKind::Slab, true),
-    ];
-    // Reps are interleaved across modes (A B C D, A B C D, ...) rather than
-    // run back-to-back per mode: wall-clock drift on a busy host tends to be
-    // sustained for seconds at a time, so interleaving exposes every mode to
-    // the same weather and best-of-reps compares like with like. Runs are
-    // deterministic, so reps differ only in timing.
-    let mut best: Vec<Option<(NetRunResult, f64)>> = (0..modes.len()).map(|_| None).collect();
+    // Best engine time of `reps` runs. Runs are deterministic, so reps
+    // differ only in timing — and must agree on every bit.
+    let mut best: Option<(NetRunResult, f64)> = None;
     for _ in 0..reps.max(1) {
-        for (slot, &(_, scheduler, ext_cache)) in best.iter_mut().zip(modes.iter()) {
-            let (res, wall) = timed_run(&g, NetRunConfig { scheduler, ext_cache, ..base.clone() });
-            if slot.as_ref().is_none_or(|(b, _)| res.engine_secs < b.engine_secs) {
-                *slot = Some((res, wall));
-            }
+        let (res, wall) = timed_run(&g, base.clone());
+        if let Some((b, _)) = &best {
+            assert_eq!(rank_bits(&res), rank_bits(b), "replays must agree bit-for-bit");
+            assert_eq!(res.sim_stats, b.sim_stats, "replays must run the same schedule");
+        }
+        if best.as_ref().is_none_or(|(b, _)| res.engine_secs < b.engine_secs) {
+            best = Some((res, wall));
         }
     }
-    let grid: Vec<EngineRow> = modes
-        .iter()
-        .zip(best)
-        .map(|(&(name, scheduler, ext_cache), slot)| {
-            let (res, wall) = slot.expect("one rep ran");
-            engine_row(name, &NetRunConfig { scheduler, ext_cache, ..base.clone() }, res, wall)
-        })
-        .collect();
-
-    // Bit-identity across the grid is the precondition for calling the
-    // events/sec ratio a speedup: re-run the two corner modes and compare
-    // ranks directly (cheaper than holding all four results alive).
-    {
-        let (slow, _) = timed_run(
-            &g,
-            NetRunConfig { scheduler: SchedulerKind::BinaryHeap, ext_cache: false, ..base.clone() },
-        );
-        let (fast, _) = timed_run(
-            &g,
-            NetRunConfig { scheduler: SchedulerKind::Slab, ext_cache: true, ..base.clone() },
-        );
-        assert_eq!(rank_bits(&slow), rank_bits(&fast), "engines must agree bit-for-bit");
-        assert_eq!(slow.sim_stats, fast.sim_stats, "engines must replay the same schedule");
-    }
-
-    let baseline = &grid[0];
-    let fast = &grid[3];
-    assert_eq!(
-        baseline.wakes + baseline.deliveries,
-        fast.wakes + fast.deliveries,
-        "event counts must match for the rate ratio to be a speedup"
-    );
-    let speedup = fast.events_per_sec / baseline.events_per_sec;
-    eprintln!("[netrun_scale] events/sec speedup over heap-baseline: {speedup:.2}x");
+    let (res, wall) = best.expect("one rep ran");
+    let reference = engine_row(&res, wall);
 
     // Arena recycling: slots must be reused through the free list, not
     // grown per event — the whole point of the slab arena.
-    assert_eq!(fast.arena_slots, fast.peak_queue_len, "arena must track the queue peak exactly");
-    assert!(
-        fast.pushes > 10 * fast.arena_slots as u64,
-        "steady state must recycle slots: {} pushes but {} arena slots",
-        fast.pushes,
-        fast.arena_slots
+    assert_eq!(
+        reference.arena_slots, reference.peak_queue_len,
+        "arena must track the queue peak exactly"
     );
-    if quick {
-        assert!(speedup > 1.0, "fast engine slower than legacy: {speedup:.2}x");
-    } else {
-        assert!(speedup >= 2.0, "regression: events/sec speedup {speedup:.2}x < 2x");
-    }
+    assert!(
+        reference.pushes > 10 * reference.arena_slots as u64,
+        "steady state must recycle slots: {} pushes but {} arena slots",
+        reference.pushes,
+        reference.arena_slots
+    );
 
-    // Scale sweep on the fast engine only: pages × nodes up to the paper's
+    // Scale sweep: pages × nodes up to the paper's
     // million-page crawl on a 256-node overlay.
     let sweep_cfgs: &[(usize, usize, usize, usize)] = if quick {
         &[(50_000, 50, 50, 128)]
@@ -307,21 +248,14 @@ fn main() {
     }
 
     println!(
-        "{:>14}  {:>9}  {:>12}  {:>12}  {:>10}  {:>12}",
-        "mode", "wall(s)", "events/s", "sends/s", "arena", "rows"
+        "{:>9}  {:>12}  {:>12}  {:>10}  {:>12}",
+        "wall(s)", "events/s", "sends/s", "arena", "rows"
     );
-    for r in &grid {
-        println!(
-            "{:>14}  {:>9.3}  {:>12.0}  {:>12.0}  {:>10}  {:>12}",
-            r.mode,
-            r.wall_secs,
-            r.events_per_sec,
-            r.sends_per_sec,
-            r.arena_slots,
-            r.rows_recomputed
-        );
-    }
-    println!("events/sec speedup over heap-baseline: {speedup:.2}x");
+    let r = &reference;
+    println!(
+        "{:>9.3}  {:>12.0}  {:>12.0}  {:>10}  {:>12}",
+        r.wall_secs, r.events_per_sec, r.sends_per_sec, r.arena_slots, r.rows_recomputed
+    );
     for r in &sweep {
         println!(
             "sweep {:>9} pages / {:>3} nodes: {:>7.3}s  {:>12.0} events/s  arena {} slots",
@@ -337,8 +271,7 @@ fn main() {
         t_end,
         quick,
         variant: format!("{variant:?}"),
-        grid,
-        speedup_events_per_sec: speedup,
+        reference,
         sweep,
     };
     args.emit(&payload).expect("write experiment json");

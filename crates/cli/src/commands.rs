@@ -46,11 +46,10 @@ COMMANDS:
             [--reliable] [--ack-timeout T] [--max-retries R]
             [--crash T:NODE[,T:NODE...]] [--join T:SEED[,T:SEED...]]
             [--deltas T:CHURN[,T:CHURN...]] [--churn-rate R] [--churn-every T]
-            [--partition T1:T2:LO-HI] [--no-coalesce] [--no-route-cache]
-            [--heap-scheduler] [--no-ext-cache] [--engine-workers W]
+            [--partition T1:T2:LO-HI] [--engine-workers W]
             [--replicas K] [--checkpoint-every T] [--suspect-after N]
-            [--store-topk K] [--explicit-matrix] [--unrolled-spmv]
-            [--inner-solver jacobi|gauss-seidel|sor:W] [--adaptive-epsilon]
+            [--store-topk K] [--unrolled-spmv]
+            [--inner-solver jacobi|gauss-seidel] [--adaptive-epsilon]
             --reliable turns on ack/retry/dedup delivery; --crash departs
             nodes (state lost), --join adds nodes (graceful handoff),
             --partition severs nodes LO..=HI from the rest during [T1,T2);
@@ -63,11 +62,6 @@ COMMANDS:
             every --checkpoint-every T time units; a replica re-hosts a
             crashed owner's groups warm after N missed checkpoints
             (--suspect-after); 0 replicas = the exact baseline;
-            --no-coalesce / --no-route-cache disable the fast message
-            path (per-destination merging, memoized overlay lookups);
-            --heap-scheduler / --no-ext-cache fall back to the legacy
-            BinaryHeap event queue and full external-contribution
-            rebuilds (bit-identical results, slower engine);
             --engine-workers W runs same-window node solves on W pool
             threads (default: all hardware threads; 1 = sequential;
             results are bit-identical at any W);
@@ -75,15 +69,13 @@ COMMANDS:
             the concurrent serving store after every sample slice and
             prints the store-served top K (bit-identical to the live
             final ranks by construction);
-            --explicit-matrix stores link-matrix values explicitly
-            instead of the default bandwidth-lean implicit layout
-            (both solve bit-identically); --unrolled-spmv opts in to
-            the 4-wide unrolled gather kernel (different fp fold order,
-            still deterministic at every worker count);
+            --unrolled-spmv opts in to the 4-wide unrolled gather
+            kernel (different fp fold order, still deterministic at
+            every worker count);
             --inner-solver picks the per-group solve kernel (default
-            jacobi = the bit-exact baseline; gauss-seidel and sor:W use
+            jacobi = the bit-exact baseline; gauss-seidel uses
             within-sweep updates — fewer sweeps, same fixed point,
-            deterministic per mode); --adaptive-epsilon solves early
+            deterministic); --adaptive-epsilon solves early
             windows only as precisely as the group's own residual
             warrants, tightening geometrically to full precision.
   top       FILE --ranks RANKS [--k K] [--site S]
@@ -92,6 +84,9 @@ COMMANDS:
             Structural audit: SCCs, rank sinks, reachability from site seeds.
   plan      [--rankers N] [--pages W] [--record-bytes L] [--bisection-mb C]
             Capacity planning (paper Table 1 math).
+
+Every command rejects options it does not know and values that do not
+parse (e.g. `--pages 2k`), instead of ignoring them.
 ";
 
 type CmdResult = Result<(), String>;
@@ -123,17 +118,18 @@ fn parse_strategy(name: &str) -> Result<Strategy, String> {
 
 /// `dpr generate`
 pub fn generate(args: &Args) -> CmdResult {
+    args.expect_only("pages sites seed binary out")?;
     let out = args.get_str("out", "");
     if out.is_empty() {
         return Err("generate needs --out FILE".into());
     }
     let cfg = EduDomainConfig {
-        n_pages: args.get("pages", 50_000usize),
-        n_sites: args.get("sites", 100usize),
-        seed: args.get("seed", EduDomainConfig::default().seed),
+        n_pages: args.get("pages", 50_000usize)?,
+        n_sites: args.get("sites", 100usize)?,
+        seed: args.get("seed", EduDomainConfig::default().seed)?,
         ..EduDomainConfig::default()
     };
-    if args.flag("binary") {
+    if args.flag("binary")? {
         // Stream rows straight to the compact snapshot — the edge list is
         // never materialized in memory, so 10M-page graphs are fine.
         dpr_graph::generators::edu_domain_to_snapshot_path(&cfg, out)
@@ -149,14 +145,15 @@ pub fn generate(args: &Args) -> CmdResult {
 
 /// `dpr crawl`
 pub fn crawl(args: &Args) -> CmdResult {
+    args.expect_only("web-pages sites seed agents mode budget out")?;
     let out = args.get_str("out", "");
     if out.is_empty() {
         return Err("crawl needs --out FILE".into());
     }
     let web = HiddenWeb::new(HiddenWebConfig {
-        total_pages: args.get("web-pages", 100_000u64),
-        n_sites: args.get("sites", 100usize),
-        seed: args.get("seed", HiddenWebConfig::default().seed),
+        total_pages: args.get("web-pages", 100_000u64)?,
+        n_sites: args.get("sites", 100usize)?,
+        seed: args.get("seed", HiddenWebConfig::default().seed)?,
         ..HiddenWebConfig::default()
     });
     let mode = match args.get_str("mode", "exchange") {
@@ -165,8 +162,8 @@ pub fn crawl(args: &Args) -> CmdResult {
         "exchange" => Mode::Exchange,
         other => return Err(format!("unknown mode `{other}`")),
     };
-    let agents = args.get("agents", 4usize);
-    let budget = CrawlBudget { max_pages: args.get("budget", usize::MAX) };
+    let agents = args.get("agents", 4usize)?;
+    let budget = CrawlBudget { max_pages: args.get("budget", usize::MAX)? };
     let res = parallel_crawl(&web, agents, mode, budget);
     let g = crawl_to_graph(&web, &res.fetched);
     dpr_graph::io::save(&g, out).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -183,6 +180,7 @@ pub fn crawl(args: &Args) -> CmdResult {
 
 /// `dpr stats`
 pub fn stats(args: &Args) -> CmdResult {
+    args.expect_only("")?;
     let g = load_graph(args.positional(0, "graph")?)?;
     println!("{}", GraphStats::compute(&g));
     Ok(())
@@ -190,8 +188,9 @@ pub fn stats(args: &Args) -> CmdResult {
 
 /// `dpr partition`
 pub fn partition(args: &Args) -> CmdResult {
+    args.expect_only("k strategy")?;
     let g = load_graph(args.positional(0, "graph")?)?;
-    let k = args.get("k", 64usize);
+    let k = args.get("k", 64usize)?;
     let strategy = parse_strategy(args.get_str("strategy", "site"))?;
     let p = Partition::build(&g, &strategy, k, 0);
     let m = PartitionMetrics::compute(&g, &p);
@@ -203,12 +202,13 @@ pub fn partition(args: &Args) -> CmdResult {
 
 /// `dpr rank`
 pub fn rank(args: &Args) -> CmdResult {
+    args.expect_only("algo accelerated top alpha")?;
     let g = load_graph(args.positional(0, "graph")?)?;
-    let top = args.get("top", 10usize);
-    let cfg = RankConfig { alpha: args.get("alpha", 0.85f64), ..RankConfig::default() };
+    let top = args.get("top", 10usize)?;
+    let cfg = RankConfig { alpha: args.get("alpha", 0.85f64)?, ..RankConfig::default() };
     let (name, ranks, iterations) = match args.get_str("algo", "cpr") {
         "cpr" => {
-            let out = if args.flag("accelerated") {
+            let out = if args.flag("accelerated")? {
                 open_pagerank_accelerated(&g, &cfg)
             } else {
                 open_pagerank(&g, &cfg)
@@ -273,11 +273,11 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
     use dpr_core::{NetRunConfig, OverlayKind, Reliability, Transmission};
     use dpr_sim::FaultPlan;
 
-    let k = args.get("k", 64usize);
+    let k = args.get("k", 64usize)?;
     let overlay = match args.get_str("overlay", "pastry") {
         "pastry" => OverlayKind::Pastry,
         "chord" => OverlayKind::Chord,
-        "can" => OverlayKind::Can { d: args.get("can-dims", 2usize) },
+        "can" => OverlayKind::Can { d: args.get("can-dims", 2usize)? },
         other => return Err(format!("unknown overlay `{other}` (pastry|chord|can)")),
     };
     let transmission = match args.get_str("transmission", "indirect") {
@@ -285,10 +285,10 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         "direct" => Transmission::Direct,
         other => return Err(format!("unknown transmission `{other}` (indirect|direct)")),
     };
-    let reliability = if args.flag("reliable") {
+    let reliability = if args.flag("reliable")? {
         Some(Reliability {
-            ack_timeout: args.get("ack-timeout", Reliability::default().ack_timeout),
-            max_retries: args.get("max-retries", Reliability::default().max_retries),
+            ack_timeout: args.get("ack-timeout", Reliability::default().ack_timeout)?,
+            max_retries: args.get("max-retries", Reliability::default().max_retries)?,
             ..Reliability::default()
         })
     } else {
@@ -302,7 +302,7 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         "" => Vec::new(),
         spec => parse_schedule::<u64>(spec, "--join")?,
     };
-    let p = args.get("p", 1.0f64);
+    let p = args.get("p", 1.0f64)?;
     let faults = match args.get_str("partition", "") {
         "" => None,
         spec => {
@@ -315,8 +315,8 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
             )
         }
     };
-    let t_end = args.get("t-end", 200.0f64);
-    let seed = args.get("seed", 0u64);
+    let t_end = args.get("t-end", 200.0f64)?;
+    let seed = args.get("seed", 0u64)?;
     // Crawl-delta schedule: explicit (`--deltas T:CHURN,...`) or periodic
     // (`--churn-rate R` every `--churn-every T`). Each entry churns the
     // given link fraction; deltas are materialized sequentially against
@@ -326,12 +326,12 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         "" => Vec::new(),
         spec => parse_schedule::<f64>(spec, "--deltas")?,
     };
-    let churn_rate = args.get("churn-rate", 0.0f64);
+    let churn_rate = args.get("churn-rate", 0.0f64)?;
     if churn_rate > 0.0 {
         if !delta_spec.is_empty() {
             return Err("--churn-rate and --deltas are mutually exclusive".into());
         }
-        let every = args.get("churn-every", 50.0f64);
+        let every = args.get("churn-every", 50.0f64)?;
         if every <= 0.0 {
             return Err(format!("--churn-every must be positive, got {every}"));
         }
@@ -360,47 +360,38 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
     let last_delta_at = deltas.last().map(|&(t, _)| t);
     let cfg = NetRunConfig {
         k,
-        n_nodes: args.get("nodes", k),
+        n_nodes: args.get("nodes", k)?,
         transmission,
         overlay,
         variant,
         strategy: parse_strategy(args.get_str("strategy", "site"))?,
-        t1: args.get("t1", 0.5f64),
-        t2: args.get("t2", 3.0f64),
+        t1: args.get("t1", 0.5f64)?,
+        t2: args.get("t2", 3.0f64)?,
         send_success_prob: p,
         seed,
         t_end,
-        sample_every: args.get("sample-every", 2.0f64),
+        sample_every: args.get("sample-every", 2.0f64)?,
         departures,
         joins,
         deltas,
         reliability,
         faults,
-        coalesce: !args.flag("no-coalesce"),
-        route_cache: !args.flag("no-route-cache"),
-        scheduler: if args.flag("heap-scheduler") {
-            dpr_sim::SchedulerKind::BinaryHeap
-        } else {
-            dpr_sim::SchedulerKind::Slab
-        },
-        ext_cache: !args.flag("no-ext-cache"),
-        replication: args.get("replicas", 0usize),
-        checkpoint_every: args.get("checkpoint-every", NetRunConfig::default().checkpoint_every),
-        suspect_after: args.get("suspect-after", NetRunConfig::default().suspect_after),
-        engine_workers: args.get("engine-workers", dpr_linalg::pool::Pool::host_threads()),
-        explicit_matrix: args.flag("explicit-matrix"),
-        unrolled_spmv: args.flag("unrolled-spmv"),
+        replication: args.get("replicas", 0usize)?,
+        checkpoint_every: args.get("checkpoint-every", NetRunConfig::default().checkpoint_every)?,
+        suspect_after: args.get("suspect-after", NetRunConfig::default().suspect_after)?,
+        engine_workers: args.get("engine-workers", dpr_linalg::pool::Pool::host_threads())?,
+        unrolled_spmv: args.flag("unrolled-spmv")?,
         // Malformed spellings surface as the structured config error, the
         // same one the run itself would raise (never a panic).
         inner_solver: args
             .get_str("inner-solver", "jacobi")
             .parse::<dpr_core::InnerSolver>()
             .map_err(|e| e.to_string())?,
-        adaptive_epsilon: args.flag("adaptive-epsilon").then(dpr_core::AdaptiveEpsilon::default),
+        adaptive_epsilon: args.flag("adaptive-epsilon")?.then(dpr_core::AdaptiveEpsilon::default),
         ..NetRunConfig::default()
     };
     let engine_workers = cfg.engine_workers;
-    let store_topk = args.get("store-topk", 0usize);
+    let store_topk = args.get("store-topk", 0usize)?;
     let store = (store_topk > 0).then(|| {
         let site_of: Vec<u32> = (0..g.n_pages() as u32).map(|p| g.site(p)).collect();
         dpr_core::RankStore::new(store_topk).with_sites(site_of, g.n_sites())
@@ -409,7 +400,7 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
         .map_err(|e| e.to_string())?;
     println!(
         "whole-system run: {k} groups on {} {overlay:?} nodes, {transmission:?} transmission",
-        args.get("nodes", k)
+        args.get("nodes", k)?
     );
     println!(
         "network: {} data msgs, {} lookups, {:.1} MB on the wire, {:.2} mean route hops",
@@ -503,26 +494,35 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
     Ok(())
 }
 
+/// Every option `dpr simulate` reads: the abstract simulator's, then the
+/// `--net` whole-system mode's.
+const SIMULATE_OPTIONS: &str = "k variant p t1 t2 t-end strategy seed sample-every \
+    warm-start save-ranks threaded net \
+    nodes overlay can-dims transmission reliable ack-timeout max-retries crash join \
+    deltas churn-rate churn-every partition engine-workers replicas checkpoint-every \
+    suspect-after store-topk unrolled-spmv inner-solver adaptive-epsilon";
+
 /// `dpr simulate`
 pub fn simulate(args: &Args) -> CmdResult {
+    args.expect_only(SIMULATE_OPTIONS)?;
     let g = load_graph(args.positional(0, "graph")?)?;
     let variant = match args.get_str("variant", "dpr1") {
         "dpr1" => DprVariant::Dpr1,
         "dpr2" => DprVariant::Dpr2,
         other => return Err(format!("unknown variant `{other}` (dpr1|dpr2)")),
     };
-    let p = args.get("p", 1.0f64);
+    let p = args.get("p", 1.0f64)?;
     if !(0.0..=1.0).contains(&p) {
         return Err(format!("--p must be a probability in [0, 1], got {p}"));
     }
-    if args.flag("net") {
+    if args.flag("net")? {
         return simulate_net(args, &g, variant);
     }
-    if args.flag("threaded") {
+    if args.flag("threaded")? {
         let res = dpr_core::run_threaded(
             &g,
             &dpr_core::ThreadedRunConfig {
-                k: args.get("k", 100usize),
+                k: args.get("k", 100usize)?,
                 strategy: parse_strategy(args.get_str("strategy", "site"))?,
                 variant,
                 ..dpr_core::ThreadedRunConfig::default()
@@ -550,15 +550,15 @@ pub fn simulate(args: &Args) -> CmdResult {
         }
     };
     let cfg = DistributedRunConfig {
-        k: args.get("k", 100usize),
+        k: args.get("k", 100usize)?,
         variant,
         strategy: parse_strategy(args.get_str("strategy", "site"))?,
-        t1: args.get("t1", 0.0f64),
-        t2: args.get("t2", 6.0f64),
+        t1: args.get("t1", 0.0f64)?,
+        t2: args.get("t2", 6.0f64)?,
         send_success_prob: p,
-        seed: args.get("seed", 0u64),
-        t_end: args.get("t-end", 100.0f64),
-        sample_every: args.get("sample-every", 1.0f64),
+        seed: args.get("seed", 0u64)?,
+        t_end: args.get("t-end", 100.0f64)?,
+        sample_every: args.get("sample-every", 1.0f64)?,
         warm_start,
         ..DistributedRunConfig::default()
     };
@@ -570,7 +570,7 @@ pub fn simulate(args: &Args) -> CmdResult {
     }
     println!(
         "K = {} rankers ({} active), variant {variant:?}",
-        args.get("k", 100usize),
+        args.get("k", 100usize)?,
         res.active_groups
     );
     println!(
@@ -584,7 +584,7 @@ pub fn simulate(args: &Args) -> CmdResult {
         ),
         None => println!(
             "did not reach 0.01% relative error within t = {}",
-            args.get("t-end", 100.0f64)
+            args.get("t-end", 100.0f64)?
         ),
     }
     println!(
@@ -597,6 +597,7 @@ pub fn simulate(args: &Args) -> CmdResult {
 
 /// `dpr top`
 pub fn top(args: &Args) -> CmdResult {
+    args.expect_only("ranks k site")?;
     let g = load_graph(args.positional(0, "graph")?)?;
     let ranks_path = args.get_str("ranks", "");
     if ranks_path.is_empty() {
@@ -610,8 +611,8 @@ pub fn top(args: &Args) -> CmdResult {
             g.n_pages()
         ));
     }
-    let k = args.get("k", 10usize);
-    let site_filter: Option<u32> = args.options.get("site").and_then(|v| v.parse().ok());
+    let k = args.get("k", 10usize)?;
+    let site_filter: Option<u32> = args.get_opt("site")?;
     let candidates: Option<Vec<u32>> =
         site_filter.map(|s| (0..g.n_pages() as u32).filter(|&p| g.site(p) == s).collect());
     let order = match &candidates {
@@ -638,6 +639,7 @@ pub fn top(args: &Args) -> CmdResult {
 
 /// `dpr analyze`
 pub fn analyze(args: &Args) -> CmdResult {
+    args.expect_only("sinks-only")?;
     let g = load_graph(args.positional(0, "graph")?)?;
     let sccs = dpr_graph::analysis::tarjan_scc(&g);
     let sinks = dpr_graph::analysis::rank_sinks(&g, false);
@@ -653,7 +655,7 @@ pub fn analyze(args: &Args) -> CmdResult {
             g.url_of(biggest.pages[0])
         );
     }
-    if !args.flag("sinks-only") {
+    if !args.flag("sinks-only")? {
         // Reachability from each site's first page (crawler seeds).
         let seeds: Vec<u32> = {
             let mut first = vec![None; g.n_sites()];
@@ -684,12 +686,13 @@ pub fn analyze(args: &Args) -> CmdResult {
 
 /// `dpr plan`
 pub fn plan(args: &Args) -> CmdResult {
+    args.expect_only("rankers pages record-bytes bisection-mb")?;
     let model = CapacityModel {
-        total_pages: args.get("pages", 3.0e9),
-        link_record_bytes: args.get("record-bytes", 100.0),
-        usable_bisection_bytes_per_sec: args.get("bisection-mb", 100.0) * 1e6,
+        total_pages: args.get("pages", 3.0e9)?,
+        link_record_bytes: args.get("record-bytes", 100.0)?,
+        usable_bisection_bytes_per_sec: args.get("bisection-mb", 100.0)? * 1e6,
     };
-    let n = args.get("rankers", 1_000u64);
+    let n = args.get("rankers", 1_000u64)?;
     let row = model.row(n);
     println!(
         "ranking {:.2e} pages over {n} rankers (h ≈ {:.2} Pastry hops):",

@@ -256,3 +256,64 @@ fn net_simulate_rejects_bad_specs() {
     .contains("not supported on the CAN overlay"));
     std::fs::remove_file(&graph).ok();
 }
+
+#[test]
+fn removed_engine_modes_are_unknown_options() {
+    let graph = tmp("strict-modes.graph");
+    commands::generate(&args(&["generate", "--pages", "400", "--sites", "4", "--out", &graph]))
+        .unwrap();
+    for flag in [
+        "--heap-scheduler",
+        "--no-ext-cache",
+        "--no-coalesce",
+        "--no-route-cache",
+        "--explicit-matrix",
+    ] {
+        let err = commands::simulate(&args(&["simulate", &graph, "--net", "--t-end", "5", flag]))
+            .unwrap_err();
+        assert_eq!(err, format!("unknown option {flag} for `simulate`"));
+    }
+    let err = commands::simulate(&args(&[
+        "simulate",
+        &graph,
+        "--net",
+        "--t-end",
+        "5",
+        "--inner-solver",
+        "sor:1.1",
+    ]))
+    .unwrap_err();
+    assert!(err.contains("unknown solver \"sor:1.1\""), "{err}");
+    std::fs::remove_file(&graph).ok();
+}
+
+#[test]
+fn malformed_values_and_misspelled_options_are_errors() {
+    let out = tmp("strict-2k.graph");
+    std::fs::remove_file(&out).ok();
+    let err = commands::generate(&args(&["generate", "--pages", "2k", "--out", &out])).unwrap_err();
+    assert_eq!(err, "bad value `2k` for --pages");
+    assert!(!std::path::Path::new(&out).exists(), "a rejected command must write nothing");
+    let err = commands::generate(&args(&["generate", "--sitez", "4", "--out", &out])).unwrap_err();
+    assert_eq!(err, "unknown option --sitez for `generate`");
+
+    let graph = tmp("strict-values.graph");
+    commands::generate(&args(&["generate", "--pages", "300", "--sites", "3", "--out", &graph]))
+        .unwrap();
+    let err = commands::simulate(&args(&[
+        "simulate",
+        &graph,
+        "--net",
+        "--no-such-flag",
+        "--engine-workers",
+        "two",
+    ]))
+    .unwrap_err();
+    assert_eq!(err, "unknown option --no-such-flag for `simulate`");
+    let err = commands::simulate(&args(&["simulate", &graph, "--net", "--engine-workers", "two"]))
+        .unwrap_err();
+    assert_eq!(err, "bad value `two` for --engine-workers");
+    let err = commands::simulate(&args(&["simulate", &graph, "--threaded", "yes"])).unwrap_err();
+    assert!(err.contains("--threaded is a flag"), "{err}");
+    std::fs::remove_file(&graph).ok();
+}

@@ -40,8 +40,9 @@ pub enum MatrixLayout {
     /// re-associates per-row sums, so results can differ from the other
     /// two layouts in the low bits — a documented opt-in.
     ImplicitUnrolled,
-    /// Explicit per-entry `f64` values (the legacy layout, kept for
-    /// benchmarking the bandwidth win).
+    /// Explicit per-entry `f64` values: the bit-identity reference the
+    /// implicit layouts are tested against, and the `spmv` benchmark's
+    /// bandwidth baseline.
     Explicit,
 }
 
@@ -404,6 +405,13 @@ impl GroupContext {
         self.efferent.iter().map(|b| b.dest)
     }
 
+    /// Whether at least one of this group's pages links into group `dest`
+    /// (i.e. `dest` is among [`GroupContext::efferent_groups`]).
+    #[must_use]
+    pub fn links_to(&self, dest: GroupId) -> bool {
+        self.efferent.binary_search_by_key(&dest, |b| b.dest).is_ok()
+    }
+
     /// Maps a global page id to its local index, if owned by this group.
     #[must_use]
     pub fn local_index(&self, p: PageId) -> Option<usize> {
@@ -470,62 +478,34 @@ impl GroupContext {
             .solve_with_scratch(&self.a, f, r, scratch, ws)
     }
 
-    /// [`GroupContext::group_pagerank`] with Gauss–Seidel/SOR inner sweeps
-    /// instead of Jacobi: within the group the ranker owns every page, so
-    /// within-sweep ordering is locally legal and typically halves the
-    /// sweep count. `omega = 1.0` is plain Gauss–Seidel. The sweep is
-    /// sequential (no pool) and allocation-free, so it is bit-identical
-    /// across engine worker counts by construction.
+    /// [`GroupContext::group_pagerank_prepared`] with Gauss–Seidel inner
+    /// sweeps instead of Jacobi: within the group the ranker owns every
+    /// page, so within-sweep ordering is locally legal and typically halves
+    /// the sweep count. The sweep updates `r` in place, sequentially (no
+    /// pool) and allocation-free, so it is bit-identical across engine
+    /// worker counts by construction.
     ///
     /// # Panics
-    /// If dimensions are inconsistent or `ω ∉ (0, 2)` (callers on the
-    /// netrun path validate ω into a structured error first).
-    pub fn group_pagerank_gs(
-        &self,
-        r: &mut [f64],
-        x: &[f64],
-        epsilon: f64,
-        max_iters: usize,
-        omega: f64,
-    ) -> SolveReport {
-        assert_eq!(r.len(), self.n_local());
-        assert_eq!(x.len(), self.n_local());
-        let f: Vec<f64> = self.beta_e.iter().zip(x).map(|(b, xi)| b + xi).collect();
-        GaussSeidelSolver { tolerance: epsilon, max_iters, omega }.solve(&self.a, &f, r)
-    }
-
-    /// [`GroupContext::group_pagerank_gs`] with a prepared `f = βE + X`
-    /// (the allocation-free think-step form, mirroring
-    /// [`GroupContext::group_pagerank_prepared`]; Gauss–Seidel updates in
-    /// place, so no scratch buffers are needed).
+    /// If dimensions are inconsistent.
     pub fn group_pagerank_gs_prepared(
         &self,
         r: &mut [f64],
         f: &[f64],
         epsilon: f64,
         max_iters: usize,
-        omega: f64,
     ) -> SolveReport {
         assert_eq!(r.len(), self.n_local());
         assert_eq!(f.len(), self.n_local());
-        GaussSeidelSolver { tolerance: epsilon, max_iters, omega }.solve(&self.a, f, r)
+        GaussSeidelSolver { tolerance: epsilon, max_iters }.solve(&self.a, f, r)
     }
 
-    /// One Gauss–Seidel/SOR sweep `R ← sweep(A, βE + X)` (the DPR2 node
-    /// body under `--inner-solver gauss-seidel`). Returns the sweep's L1
-    /// difference.
-    pub fn step_gs(&self, r: &mut [f64], x: &[f64], omega: f64) -> f64 {
-        assert_eq!(r.len(), self.n_local());
-        assert_eq!(x.len(), self.n_local());
-        let f: Vec<f64> = self.beta_e.iter().zip(x).map(|(b, xi)| b + xi).collect();
-        GaussSeidelSolver { omega, ..GaussSeidelSolver::default() }.step(&self.a, &f, r, 1)
-    }
-
-    /// [`GroupContext::step_gs`] with a prepared `f = βE + X`.
-    pub fn step_gs_prepared(&self, r: &mut [f64], f: &[f64], omega: f64) -> f64 {
+    /// One Gauss–Seidel sweep `R ← sweep(A, f)` with a prepared
+    /// `f = βE + X` (the DPR2 node body under `--inner-solver
+    /// gauss-seidel`). Returns the sweep's L1 difference.
+    pub fn step_gs_prepared(&self, r: &mut [f64], f: &[f64]) -> f64 {
         assert_eq!(r.len(), self.n_local());
         assert_eq!(f.len(), self.n_local());
-        GaussSeidelSolver { omega, ..GaussSeidelSolver::default() }.step(&self.a, f, r, 1)
+        GaussSeidelSolver::default().step(&self.a, f, r, 1)
     }
 
     /// One iteration `R ← A·R + βE + X` (the DPR2 node body). Returns the
@@ -597,37 +577,34 @@ impl GroupContext {
 ///
 /// # Dirty-row caching
 ///
-/// In the default *cached* mode the state also maintains a per-row inverted
+/// Besides the per-source payloads the state maintains a per-row inverted
 /// index (`rows[li]` = the `(src, score)` contributions touching local page
 /// `li`, sorted by source) plus a worklist of rows whose cached `x` entry is
 /// stale. [`AfferentState::refresh`] then recomputes only the stale rows —
 /// the common case between think steps is that a handful of sources
 /// re-published, leaving most rows untouched. Each stale row is re-summed
-/// *from scratch in ascending source order*, which is exactly the order the
-/// full rebuild adds contributions in (`received` is a `BTreeMap`), so the
-/// cached `X` is bit-identical to a full rebuild at every refresh —
+/// *from scratch in ascending source order*, which is exactly the order a
+/// full rebuild over `received` (a `BTreeMap`) adds contributions in, so
+/// the cached `X` is bit-identical to a full rebuild at every refresh —
 /// floating-point addition is not associative, and the engine promises
-/// bit-identical runs per seed. [`AfferentState::new_full_rebuild`] keeps
-/// the pre-cache behavior (rebuild every row on any change) as the
-/// benchmark baseline.
+/// bit-identical runs per seed. `tests/ext_cache.rs` checks this against a
+/// test-local full rebuild.
 #[derive(Debug, Clone, Default)]
 pub struct AfferentState {
     /// BTreeMap (not HashMap) so X materialization sums in a fixed order.
     received: std::collections::BTreeMap<GroupId, Vec<(u32, f64)>>,
-    /// Per-row inverted index, sorted by source group (cached mode only).
+    /// Per-row inverted index, sorted by source group.
     rows: Vec<Vec<(GroupId, f64)>>,
     /// Rows whose `x` entry is stale, deduplicated through `row_dirty`.
     dirty_rows: Vec<u32>,
     row_dirty: Vec<bool>,
     x: Vec<f64>,
     dirty: bool,
-    full_rebuild: bool,
     rows_recomputed: u64,
 }
 
 impl AfferentState {
-    /// State for a group with `n_local` pages (X starts at zero), with
-    /// dirty-row caching on.
+    /// State for a group with `n_local` pages (X starts at zero).
     #[must_use]
     pub fn new(n_local: usize) -> Self {
         Self {
@@ -637,20 +614,11 @@ impl AfferentState {
             row_dirty: vec![false; n_local],
             x: vec![0.0; n_local],
             dirty: false,
-            full_rebuild: false,
             rows_recomputed: 0,
         }
     }
 
-    /// The pre-cache baseline: every refresh rebuilds the whole `X` vector
-    /// and no inverted index is maintained. Kept so benchmarks can compare
-    /// the two modes honestly; results are bit-identical either way.
-    #[must_use]
-    pub fn new_full_rebuild(n_local: usize) -> Self {
-        Self { rows: Vec::new(), row_dirty: Vec::new(), full_rebuild: true, ..Self::new(n_local) }
-    }
-
-    /// Marks row `li` stale (cached mode).
+    /// Marks row `li` stale.
     #[inline]
     fn mark_row(row_dirty: &mut [bool], dirty_rows: &mut Vec<u32>, li: u32) {
         if !row_dirty[li as usize] {
@@ -682,12 +650,8 @@ impl AfferentState {
     /// would take its steady-state short-circuit. Receivers use this to
     /// skip materializing the localized payload at all once ranks stall —
     /// the stream is compared entry-by-entry against the stored slice
-    /// without allocating. Always `false` in full-rebuild mode (the
-    /// baseline re-stores every arrival).
+    /// without allocating.
     pub fn bits_match(&self, src: GroupId, entries: impl Iterator<Item = (u32, f64)>) -> bool {
-        if self.full_rebuild {
-            return false;
-        }
         let Some(old) = self.received.get(&src) else {
             return false;
         };
@@ -710,26 +674,19 @@ impl AfferentState {
             entries.windows(2).all(|w| w[0].0 < w[1].0),
             "Y entries must be sorted by unique local index"
         );
-        // Steady-state short-circuit (cached mode): a re-publication whose
-        // payload is bit-identical to what this source already contributed
-        // changes nothing — replacing it, re-indexing it, and re-summing
-        // its rows would all reproduce the exact same bits. Converged
-        // senders keep publishing (the wire protocol never goes quiet), so
-        // this is the hot path once ranks stall. The full-rebuild baseline
-        // deliberately skips this check: it models the pre-cache engine,
-        // which rebuilt on every arrival.
-        if !self.full_rebuild {
-            if let Some(old) = self.received.get(&src) {
-                if Self::entries_bits_equal(old, &entries) {
-                    return;
-                }
+        // Steady-state short-circuit: a re-publication whose payload is
+        // bit-identical to what this source already contributed changes
+        // nothing — replacing it, re-indexing it, and re-summing its rows
+        // would all reproduce the exact same bits. Converged senders keep
+        // publishing (the wire protocol never goes quiet), so this is the
+        // hot path once ranks stall.
+        if let Some(old) = self.received.get(&src) {
+            if Self::entries_bits_equal(old, &entries) {
+                return;
             }
         }
         let old = self.received.insert(src, entries);
         self.dirty = true;
-        if self.full_rebuild {
-            return;
-        }
         // Retract the superseded contribution: rows it touched go stale and
         // lose their index entry (re-added below if the new Y touches them
         // too).
@@ -748,6 +705,20 @@ impl AfferentState {
         }
     }
 
+    /// Forgets `src`'s contribution entirely, as if it had never been
+    /// received: its rows go stale and re-sum without it on the next
+    /// refresh. For a source that no longer links into this group at all —
+    /// it will never publish here again, so nothing would ever replace its
+    /// last `Y`. Returns whether `src` had contributed anything.
+    pub fn retract(&mut self, src: GroupId) -> bool {
+        if !self.received.contains_key(&src) {
+            return false;
+        }
+        self.set(src, Vec::new());
+        self.received.remove(&src);
+        true
+    }
+
     /// Upserts individual entries from `src` without discarding entries the
     /// sender chose not to re-send — the receive side of *thresholded* `Y`
     /// publication (the §4.5/§7 communication-reduction future work): a
@@ -757,25 +728,17 @@ impl AfferentState {
         if entries.is_empty() {
             return;
         }
-        let full_rebuild = self.full_rebuild;
         let stored = self.received.entry(src).or_default();
-        let mut changed = false;
         for &(li, s) in entries {
             match stored.binary_search_by_key(&li, |&(i, _)| i) {
-                // Bit-identical upsert: nothing to re-index or re-sum
-                // (cached mode; the baseline still rebuilds below).
-                Ok(pos) if !full_rebuild && stored[pos].1.to_bits() == s.to_bits() => continue,
+                // Bit-identical upsert: nothing to re-index or re-sum.
+                Ok(pos) if stored[pos].1.to_bits() == s.to_bits() => continue,
                 Ok(pos) => stored[pos].1 = s,
                 Err(pos) => stored.insert(pos, (li, s)),
             }
-            changed = true;
-            if !full_rebuild {
-                Self::index_row(&mut self.rows[li as usize], src, s);
-                Self::mark_row(&mut self.row_dirty, &mut self.dirty_rows, li);
-            }
-        }
-        if full_rebuild || changed {
             self.dirty = true;
+            Self::index_row(&mut self.rows[li as usize], src, s);
+            Self::mark_row(&mut self.row_dirty, &mut self.dirty_rows, li);
         }
     }
 
@@ -786,42 +749,29 @@ impl AfferentState {
     }
 
     /// [`AfferentState::refresh`], appending the indices of every row whose
-    /// `x` entry was recomputed to `touched` (all rows in full-rebuild
-    /// mode). Callers maintaining derived per-row state — netrun's
+    /// `x` entry was recomputed to `touched`. Callers maintaining derived per-row state — netrun's
     /// persistent `f = βE + X` buffer — use the worklist to update exactly
     /// the rows that may have changed.
     pub fn refresh_tracked(&mut self, touched: Option<&mut Vec<u32>>) {
         if !self.dirty {
             return;
         }
-        if self.full_rebuild {
-            self.x.iter_mut().for_each(|v| *v = 0.0);
-            for entries in self.received.values() {
-                for &(li, s) in entries {
-                    self.x[li as usize] += s;
-                }
+        for &li in &self.dirty_rows {
+            self.row_dirty[li as usize] = false;
+            // From-scratch re-sum in ascending source order: the same
+            // additions, in the same order, as summing every received
+            // payload into a zeroed `X`.
+            let mut sum = 0.0;
+            for &(_, s) in &self.rows[li as usize] {
+                sum += s;
             }
-            self.rows_recomputed += self.x.len() as u64;
-            if let Some(t) = touched {
-                t.extend(0..self.x.len() as u32);
-            }
-        } else {
-            for &li in &self.dirty_rows {
-                self.row_dirty[li as usize] = false;
-                // From-scratch re-sum in ascending source order: the same
-                // additions, in the same order, as the full rebuild above.
-                let mut sum = 0.0;
-                for &(_, s) in &self.rows[li as usize] {
-                    sum += s;
-                }
-                self.x[li as usize] = sum;
-            }
-            self.rows_recomputed += self.dirty_rows.len() as u64;
-            if let Some(t) = touched {
-                t.extend_from_slice(&self.dirty_rows);
-            }
-            self.dirty_rows.clear();
+            self.x[li as usize] = sum;
         }
+        self.rows_recomputed += self.dirty_rows.len() as u64;
+        if let Some(t) = touched {
+            t.extend_from_slice(&self.dirty_rows);
+        }
+        self.dirty_rows.clear();
         self.dirty = false;
     }
 
@@ -848,8 +798,8 @@ impl AfferentState {
         self.received.iter().map(|(&g, v)| (g, v.clone())).collect()
     }
 
-    /// Total rows recomputed across all refreshes (a full rebuild counts
-    /// every row) — the work the dirty-row cache is there to avoid.
+    /// Total rows recomputed across all refreshes — the work the dirty-row
+    /// cache keeps proportional to what actually changed.
     #[must_use]
     pub fn rows_recomputed(&self) -> u64 {
         self.rows_recomputed
@@ -900,7 +850,7 @@ mod tests {
     fn afferent_snapshot_replays_bit_identically() {
         // The checkpoint/restore contract the takeover protocol relies on:
         // replaying a snapshot through `set` on a fresh instance rebuilds
-        // the exact bits of `X`, in both caching modes.
+        // the exact bits of `X`.
         let mut st = AfferentState::new(5);
         st.set(3, vec![(0, 0.125), (4, 1.0 / 3.0)]);
         st.set(0, vec![(0, 0.7), (2, 1e-9)]);
@@ -910,14 +860,12 @@ mod tests {
         let snap = st.snapshot_received();
         assert_eq!(snap.len(), 3);
         assert!(snap.windows(2).all(|w| w[0].0 < w[1].0), "ascending source order");
-        for fresh in [AfferentState::new(5), AfferentState::new_full_rebuild(5)] {
-            let mut fresh = fresh;
-            for (src, entries) in &snap {
-                fresh.set(*src, entries.clone());
-            }
-            let x_after: Vec<u64> = fresh.refresh().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(x_before, x_after);
+        let mut fresh = AfferentState::new(5);
+        for (src, entries) in &snap {
+            fresh.set(*src, entries.clone());
         }
+        let x_after: Vec<u64> = fresh.refresh().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(x_before, x_after);
     }
 
     fn split_cycle() -> (WebGraph, Vec<GroupContext>) {

@@ -34,7 +34,7 @@ use dpr_overlay::{
 };
 use dpr_partition::{GroupId, Partition};
 use dpr_sim::waits::WaitModel;
-use dpr_sim::{Actor, Ctx, FaultPlan, SchedStats, SchedulerKind, SimStats, Simulation, TimeSeries};
+use dpr_sim::{Actor, Ctx, FaultPlan, SchedStats, SimStats, Simulation, TimeSeries};
 use dpr_transport::snapshot::paper_snapshot_bytes;
 
 use crate::centralized::open_pagerank;
@@ -225,11 +225,11 @@ impl Default for Reliability {
 /// Within one group the ranker owns every page, so within-sweep
 /// (Gauss–Seidel) ordering is locally legal; cross-group coupling stays
 /// Jacobi either way — the "partially asynchronous iteration" regime.
-/// Every mode is deterministic and bit-identical across engine worker
-/// counts and replays *against its own reference*; the modes differ from
-/// each other only in low-order bits (all agree with the Jacobi fixed
+/// Both modes are deterministic and bit-identical across engine worker
+/// counts and replays *against their own reference*; they differ from
+/// each other only in low-order bits (both agree with the Jacobi fixed
 /// point to well under 1e-12).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InnerSolver {
     /// Plain Jacobi fixed-point iteration — the pre-PR baseline, proven
     /// bit-for-bit identical to it (ranks, counters, event stream).
@@ -239,51 +239,21 @@ pub enum InnerSolver {
     /// typically reaches each window's fixed point in ~2× fewer sweeps on
     /// link graphs.
     GaussSeidel,
-    /// Successive over-relaxation with factor `ω ∈ (0, 2)`; `ω = 1.0`
-    /// degenerates to Gauss–Seidel. Validated into a structured
-    /// [`NetRunError::Config`] before the run starts.
-    Sor {
-        /// The relaxation factor.
-        omega: f64,
-    },
-}
-
-impl InnerSolver {
-    /// The relaxation factor the Gauss–Seidel kernel should use (1.0 for
-    /// every non-SOR mode).
-    #[must_use]
-    pub fn omega(self) -> f64 {
-        match self {
-            InnerSolver::Jacobi | InnerSolver::GaussSeidel => 1.0,
-            InnerSolver::Sor { omega } => omega,
-        }
-    }
 }
 
 impl std::str::FromStr for InnerSolver {
     type Err = NetRunError;
 
-    /// Parses the CLI spelling: `jacobi`, `gauss-seidel` (alias `gs`), or
-    /// `sor:ω`. Malformed strings become structured config errors, never
-    /// panics.
+    /// Parses the CLI spelling: `jacobi` or `gauss-seidel` (alias `gs`).
+    /// Anything else becomes a structured config error, never a panic.
     fn from_str(s: &str) -> Result<Self, NetRunError> {
         match s {
             "jacobi" => Ok(InnerSolver::Jacobi),
             "gauss-seidel" | "gs" => Ok(InnerSolver::GaussSeidel),
-            _ => {
-                if let Some(omega) = s.strip_prefix("sor:") {
-                    let omega: f64 = omega.parse().map_err(|_| NetRunError::Config {
-                        what: "inner_solver",
-                        detail: format!("sor wants a numeric relaxation factor, got {s:?}"),
-                    })?;
-                    Ok(InnerSolver::Sor { omega })
-                } else {
-                    Err(NetRunError::Config {
-                        what: "inner_solver",
-                        detail: format!("unknown solver {s:?} (try jacobi, gauss-seidel, sor:1.1)"),
-                    })
-                }
-            }
+            _ => Err(NetRunError::Config {
+                what: "inner_solver",
+                detail: format!("unknown solver {s:?} (try jacobi or gauss-seidel)"),
+            }),
         }
     }
 }
@@ -404,30 +374,6 @@ pub struct NetRunConfig {
     /// precedence over `send_success_prob` (the plan's own loss, latency,
     /// jitter, partitions, stragglers and crash windows govern delivery).
     pub faults: Option<FaultPlan>,
-    /// Per-destination update coalescing (§4.4): within one think window a
-    /// node merges `Y` parts sharing `(src_group, dest_group)` — keeping
-    /// the newest, exactly what sequential delivery into
-    /// [`AfferentState::set`] would have kept — and, under direct
-    /// transmission, batches all parts for one owner into a single
-    /// package. Changes message/byte counters (that is the point), never
-    /// the final ranks.
-    pub coalesce: bool,
-    /// Memoize overlay `next_hop`/`route` lookups in a generation-checked
-    /// [`RouteCache`]. Invisible to results by construction — `false`
-    /// recomputes every lookup (and still counts them, so benchmarks can
-    /// compare the two modes honestly).
-    pub route_cache: bool,
-    /// Event-scheduler implementation for the underlying engine. Both
-    /// choices dequeue in the identical `(time, seq)` total order, so runs
-    /// are bit-identical across them; the slab default recycles event slots
-    /// instead of allocating per event.
-    pub scheduler: SchedulerKind,
-    /// Dirty-row external-contribution caching (see
-    /// [`AfferentState`](crate::group::AfferentState)): think steps
-    /// recompute only the `X` rows remote updates touched and keep a
-    /// persistent `f = βE + X` solve input. `false` rebuilds everything
-    /// every step (the pre-cache baseline). Bit-identical either way.
-    pub ext_cache: bool,
     /// Replication factor `k` for crash-survivable ranking. When `> 0`,
     /// every group owner periodically ships a compact checkpoint of each
     /// hosted group's dynamic state (`r`, afferent `X`, iteration epoch) to
@@ -455,25 +401,18 @@ pub struct NetRunConfig {
     /// same-window node solves concurrently on a shared pool and commits
     /// their outputs in canonical `(time, seq)` order — bit-identical to
     /// the sequential engine at any worker count (the
-    /// [`dpr_sim`] batched-engine contract). Parallelism only materializes
-    /// with `coalesce: true`; the legacy non-coalesce wake path dispatches
-    /// relay traffic before its solves, so those stay inline.
+    /// [`dpr_sim`] batched-engine contract).
     pub engine_workers: usize,
-    /// Use the legacy explicit-value CSR layout for the group matrices
-    /// instead of the default bandwidth-lean implicit layout. Both layouts
-    /// hold identical entries and the plain kernels are bit-identical, so
-    /// this is a pure performance A/B switch.
-    pub explicit_matrix: bool,
     /// Opt into the 4-wide unrolled SpMV accumulator (implicit layout
     /// only). The unroll re-associates per-row sums, so ranks may differ
     /// from the default kernel in the low bits — a documented opt-in per
-    /// the bit-identity contract. Ignored when `explicit_matrix` is set.
+    /// the bit-identity contract.
     pub unrolled_spmv: bool,
-    /// Which solver runs the per-group inner solve (Jacobi, Gauss–Seidel,
-    /// or SOR). The default [`InnerSolver::Jacobi`] is bit-for-bit the
-    /// pre-option baseline; the within-sweep modes reach each window's
-    /// fixed point in measurably fewer sweeps (see `BENCH_inner.json`) and
-    /// land on the same fixed point up to low-order bits.
+    /// Which solver runs the per-group inner solve (Jacobi or
+    /// Gauss–Seidel). The default [`InnerSolver::Jacobi`] is bit-for-bit
+    /// the pre-option baseline; Gauss–Seidel reaches each window's fixed
+    /// point in measurably fewer sweeps (see `BENCH_inner.json`) and lands
+    /// on the same fixed point up to low-order bits.
     pub inner_solver: InnerSolver,
     /// Full inner-solve tolerance: the `ε` each think window's
     /// `R = A·R + βE + X` solve targets (and the floor any adaptive
@@ -483,8 +422,6 @@ pub struct NetRunConfig {
     pub inner_epsilon: f64,
     /// Optional adaptive tolerance schedule (see [`AdaptiveEpsilon`]).
     /// `None` (the default) solves every window to `inner_epsilon`.
-    /// Requires `ext_cache` — the schedule is driven by the held residual
-    /// the dirty-row cache maintains.
     pub adaptive_epsilon: Option<AdaptiveEpsilon>,
 }
 
@@ -514,15 +451,10 @@ impl Default for NetRunConfig {
             deltas: Vec::new(),
             reliability: None,
             faults: None,
-            coalesce: true,
-            route_cache: true,
-            scheduler: SchedulerKind::Slab,
-            ext_cache: true,
             replication: 0,
             checkpoint_every: 4.0,
             suspect_after: 2,
             engine_workers: 1,
-            explicit_matrix: false,
             unrolled_spmv: false,
             inner_solver: InnerSolver::Jacobi,
             inner_epsilon: 1e-10,
@@ -646,9 +578,9 @@ pub struct NetCounters {
     /// reliable-mode sender holding the package for retransmission). Zero
     /// under fire-and-forget: payloads move end to end without a copy.
     pub payload_clones: u64,
-    /// Afferent `X` rows recomputed during refreshes — a full rebuild
-    /// counts every row, the dirty-row cache only the stale ones. Charged
-    /// to the group's host at collection time.
+    /// Afferent `X` rows recomputed during refreshes (only the stale ones
+    /// — see [`AfferentState`]). Charged to the group's host at collection
+    /// time.
     pub rows_recomputed: u64,
     /// `Y` parts abandoned with their package when the retry budget ran
     /// out — the per-part face of [`NetCounters::retry_exhausted`]
@@ -672,7 +604,7 @@ pub struct NetCounters {
     /// form plus a per-message header; also included in `bytes`) — the
     /// §4.5-style price of keeping ranks live against an evolving web.
     pub delta_bytes: u64,
-    /// Inner-solver sweeps (Jacobi iterations or Gauss–Seidel/SOR sweeps)
+    /// Inner-solver sweeps (Jacobi iterations or Gauss–Seidel sweeps)
     /// run by this node's hosted groups across all think windows — the
     /// FLOP-side twin of [`NetCounters::rows_recomputed`]. Charged to the
     /// group's host at collection time.
@@ -699,7 +631,7 @@ struct GroupState {
     r: Vec<f64>,
     afferent: AfferentState,
     /// Persistent solve input `f = βE + X`; rows are patched from the
-    /// refresh worklist instead of being rebuilt (cached mode only).
+    /// refresh worklist instead of being rebuilt.
     f_buf: Vec<f64>,
     /// Reusable solve double buffer.
     scratch: Vec<f64>,
@@ -712,18 +644,17 @@ struct GroupState {
     /// Final successive difference of the last solve that actually ran.
     /// Exactly `0.0` means `r` is the *exact* f64 fixed point of the
     /// current iteration map: rerunning the solve with an unchanged `f`
-    /// would reproduce `r` bit-for-bit, so the think step may skip it
-    /// (cached mode only).
+    /// would reproduce `r` bit-for-bit, so the think step may skip it.
     last_delta: f64,
     /// Memoized `compute_y(&r)` — a deterministic function of `r`, valid
-    /// until a solve changes `r` (cached mode only). Entries are behind
+    /// until a solve changes `r`. Entries are behind
     /// `Arc`s so publication is a pointer bump, not a payload copy.
     y_cache: Option<YCache>,
     /// Last accepted raw `Y` payload per source, as `(page, rank bits)` —
     /// the receive-path twin of the sender's `y_cache`. A re-publication
     /// that bit-matches it is dropped before any page→local translation;
     /// the localized comparison in [`AfferentState::bits_match`] remains as
-    /// the slow-path check when the raw bytes differ (cached mode only).
+    /// the slow-path check when the raw bytes differ.
     last_payload: BTreeMap<GroupId, Vec<(PageId, u64)>>,
     outer_iterations: u64,
     /// Inner-solver sweeps this group ran (see
@@ -735,18 +666,16 @@ struct GroupState {
 }
 
 impl GroupState {
-    /// Fresh (rank-zero) state for `ctx`, in cached or full-rebuild mode.
-    fn new(ctx: Arc<GroupContext>, ext_cache: bool) -> Self {
+    /// Fresh (rank-zero) state for `ctx`.
+    fn new(ctx: Arc<GroupContext>) -> Self {
         let n = ctx.n_local();
-        let afferent =
-            if ext_cache { AfferentState::new(n) } else { AfferentState::new_full_rebuild(n) };
         // `X` starts at zero, so `f = βE` exactly (βE ≥ 0, and `b + 0.0`
         // is bitwise `b` for non-negative `b`).
         let f_buf = ctx.beta_e().to_vec();
         Self {
             ctx,
             r: vec![0.0; n],
-            afferent,
+            afferent: AfferentState::new(n),
             f_buf,
             scratch: vec![0.0; n],
             ws: Vec::new(),
@@ -796,8 +725,7 @@ pub struct NetNode {
     /// `group → DHT key`.
     key_of: Arc<Vec<u128>>,
     /// Shared memo of routing decisions (keys include the source node, so
-    /// one shared cache is equivalent to per-node caches). Bypassed — but
-    /// still counting lookups — when `cfg.route_cache` is off.
+    /// one shared cache is equivalent to per-node caches).
     cache: Arc<RwLock<RouteCache>>,
     relay: Vec<YPart>,
     /// `Y` parts produced by the last `think` (the engine's parallel
@@ -868,15 +796,20 @@ impl NetNode {
         updates * self.cfg.update_bytes + self.cfg.header_bytes
     }
 
+    /// Whether `src`'s current context still links into `dest`. Always true
+    /// on a static graph; after a crawl delta, parts from a source that
+    /// lost its last link into `dest` (in flight, relayed, or held in a
+    /// checkpoint) would resurrect the `Y` the delta retracted.
+    fn still_links(&self, src: GroupId, dest: GroupId) -> bool {
+        self.cfg.deltas.is_empty() || self.contexts.read()[src as usize].links_to(dest)
+    }
+
     /// Delivers a part to a locally hosted group.
     fn deliver_local(&mut self, part: &YPart) {
-        let ext_cache = self.cfg.ext_cache;
+        if !self.still_links(part.src_group, part.dest_group) {
+            return;
+        }
         if let Some(gs) = self.groups.iter_mut().find(|g| g.ctx.group_id() == part.dest_group) {
-            if !ext_cache {
-                let localized = gs.ctx.localize(&part.entries);
-                gs.afferent.set(part.src_group, localized);
-                return;
-            }
             // Steady-state receive path: once the sender's ranks stall its
             // re-publications are bit-identical and `set` would discard the
             // payload unread. Cheapest check first — the raw `(page, bits)`
@@ -1035,16 +968,14 @@ impl NetNode {
 
     /// Routes parts one overlay hop (indirect) or directly to the owner
     /// (direct), grouping by next hop so each neighbor gets one package.
-    /// With coalescing on, superseded same-`(src, dest)` parts are merged
-    /// away first and direct mode additionally batches everything bound
-    /// for one owner into a single package (one data message, one header;
-    /// every part's destination still pays its §4.5 lookup).
+    /// Superseded same-`(src, dest)` parts are merged away first (§4.4
+    /// coalescing), and direct mode batches everything bound for one owner
+    /// into a single package (one data message, one header; every part's
+    /// destination still pays its §4.5 lookup).
     fn dispatch(&mut self, ctx: &mut Ctx<'_, NetMsg>, mut parts: Vec<YPart>) {
-        if self.cfg.coalesce {
-            self.coalesce_parts(&mut parts);
-        }
+        self.coalesce_parts(&mut parts);
         match self.cfg.transmission {
-            Transmission::Direct if self.cfg.coalesce => {
+            Transmission::Direct => {
                 // BTreeMap: package send order must be deterministic.
                 let mut by_owner: BTreeMap<NodeIndex, (u64, Vec<YPart>)> = BTreeMap::new();
                 for part in parts {
@@ -1064,22 +995,6 @@ impl NetNode {
                 for (owner, (hops, batch)) in by_owner {
                     let lookup_delay = hops as f64 * self.cfg.hop_latency;
                     self.transmit(ctx, owner, lookup_delay, batch);
-                }
-            }
-            Transmission::Direct => {
-                for part in parts {
-                    let owner = self.owner_of.read()[part.dest_group as usize];
-                    if owner == self.me {
-                        self.deliver_local(&part);
-                        continue;
-                    }
-                    // Pay the lookup: h messages of r bytes, plus latency
-                    // before the data message can leave.
-                    let hops = self.lookup_hops(part.dest_group);
-                    self.counters.lookup_messages += hops;
-                    self.counters.bytes += hops * self.cfg.lookup_bytes;
-                    let lookup_delay = hops as f64 * self.cfg.hop_latency;
-                    self.transmit(ctx, owner, lookup_delay, vec![part]);
                 }
             }
             Transmission::Indirect => {
@@ -1110,149 +1025,91 @@ impl NetNode {
             if gs.ctx.n_local() == 0 {
                 continue;
             }
-            if self.cfg.ext_cache {
-                // Dirty-row path: refresh only the stale X rows, patch the
-                // persistent f = βE + X on exactly those rows, and solve
-                // with the reusable double buffer — no allocation, same
-                // bits as the full rebuild below.
-                gs.touched.clear();
-                gs.afferent.refresh_tracked(Some(&mut gs.touched));
-                let (beta_e, x) = (gs.ctx.beta_e(), gs.afferent.x());
-                for &li in &gs.touched {
-                    gs.f_buf[li as usize] = beta_e[li as usize] + x[li as usize];
-                }
-                // Stall short-circuit: no row of f changed and the last
-                // solve ended with a successive difference of exactly 0.0,
-                // so `r` is the exact f64 fixed point of `r ← A·r + f` —
-                // rerunning the solve would reproduce `r` bit-for-bit
-                // (ranks are non-negative, so even ±0.0 cannot differ; the
-                // Gauss–Seidel sweep updates in place with the same
-                // property). The group still publishes below; only the
-                // arithmetic is skipped.
-                if !(gs.touched.is_empty() && gs.last_delta == 0.0) {
-                    // Adaptive inexact inner–outer scheduling: the window
-                    // tolerance is a pure function of the group's held
-                    // residual — deterministic across workers and replays.
-                    let epsilon = match self.cfg.adaptive_epsilon {
-                        Some(s) => s.window_epsilon(gs.last_delta, self.cfg.inner_epsilon),
-                        None => self.cfg.inner_epsilon,
-                    };
-                    let (delta, r_unchanged) = match (self.cfg.variant, self.cfg.inner_solver) {
-                        (DprVariant::Dpr1, InnerSolver::Jacobi) => {
-                            let report = gs.ctx.group_pagerank_prepared(
+            // Dirty-row path: refresh only the stale X rows, patch the
+            // persistent f = βE + X on exactly those rows, and solve with
+            // the reusable double buffer — no allocation.
+            gs.touched.clear();
+            gs.afferent.refresh_tracked(Some(&mut gs.touched));
+            let (beta_e, x) = (gs.ctx.beta_e(), gs.afferent.x());
+            for &li in &gs.touched {
+                gs.f_buf[li as usize] = beta_e[li as usize] + x[li as usize];
+            }
+            // Stall short-circuit: no row of f changed and the last solve
+            // ended with a successive difference of exactly 0.0, so `r` is
+            // the exact f64 fixed point of `r ← A·r + f` — rerunning the
+            // solve would reproduce `r` bit-for-bit (ranks are
+            // non-negative, so even ±0.0 cannot differ; the Gauss–Seidel
+            // sweep updates in place with the same property). The group
+            // still publishes below; only the arithmetic is skipped.
+            if !(gs.touched.is_empty() && gs.last_delta == 0.0) {
+                // Adaptive inexact inner–outer scheduling: the window
+                // tolerance is a pure function of the group's held
+                // residual — deterministic across workers and replays.
+                let epsilon = match self.cfg.adaptive_epsilon {
+                    Some(s) => s.window_epsilon(gs.last_delta, self.cfg.inner_epsilon),
+                    None => self.cfg.inner_epsilon,
+                };
+                let (delta, r_unchanged) = match self.cfg.variant {
+                    DprVariant::Dpr1 => {
+                        let report = match self.cfg.inner_solver {
+                            InnerSolver::Jacobi => gs.ctx.group_pagerank_prepared(
                                 &mut gs.r,
                                 &gs.f_buf,
                                 epsilon,
                                 10_000,
                                 &mut gs.scratch,
                                 &mut gs.ws,
-                            );
-                            gs.inner_sweeps += report.iterations as u64;
-                            gs.sweeps_saved +=
-                                adaptive_sweeps_saved(&self.cfg, &gs.ctx, report.final_delta);
-                            // A multi-iteration solve moved `r` even if its
-                            // final step didn't.
-                            (
-                                report.final_delta,
-                                report.iterations <= 1 && report.final_delta == 0.0,
-                            )
-                        }
-                        (DprVariant::Dpr1, mode) => {
-                            let report = gs.ctx.group_pagerank_gs_prepared(
-                                &mut gs.r,
-                                &gs.f_buf,
-                                epsilon,
-                                10_000,
-                                mode.omega(),
-                            );
-                            gs.inner_sweeps += report.iterations as u64;
-                            gs.sweeps_saved +=
-                                adaptive_sweeps_saved(&self.cfg, &gs.ctx, report.final_delta);
-                            (
-                                report.final_delta,
-                                report.iterations <= 1 && report.final_delta == 0.0,
-                            )
-                        }
-                        (DprVariant::Dpr2, InnerSolver::Jacobi) => {
-                            let delta = gs.ctx.step_prepared(
+                            ),
+                            InnerSolver::GaussSeidel => gs
+                                .ctx
+                                .group_pagerank_gs_prepared(&mut gs.r, &gs.f_buf, epsilon, 10_000),
+                        };
+                        gs.inner_sweeps += report.iterations as u64;
+                        gs.sweeps_saved +=
+                            adaptive_sweeps_saved(&self.cfg, &gs.ctx, report.final_delta);
+                        // A multi-iteration solve moved `r` even if its
+                        // final step didn't.
+                        (report.final_delta, report.iterations <= 1 && report.final_delta == 0.0)
+                    }
+                    DprVariant::Dpr2 => {
+                        let delta = match self.cfg.inner_solver {
+                            InnerSolver::Jacobi => gs.ctx.step_prepared(
                                 &mut gs.r,
                                 &gs.f_buf,
                                 &mut gs.scratch,
                                 &mut gs.ws,
-                            );
-                            gs.inner_sweeps += 1;
-                            (delta, delta == 0.0)
-                        }
-                        (DprVariant::Dpr2, mode) => {
-                            let delta = gs.ctx.step_gs_prepared(&mut gs.r, &gs.f_buf, mode.omega());
-                            gs.inner_sweeps += 1;
-                            (delta, delta == 0.0)
-                        }
-                    };
-                    gs.last_delta = delta;
-                    if !r_unchanged {
-                        gs.y_cache = None;
-                    }
-                } else {
-                    // The one verification sweep a non-caching solver would
-                    // have paid to rediscover that `r` is already the fixed
-                    // point.
-                    gs.sweeps_saved += 1;
-                }
-            } else {
-                let x = gs.afferent.refresh();
-                let sweeps = match (self.cfg.variant, self.cfg.inner_solver) {
-                    (DprVariant::Dpr1, InnerSolver::Jacobi) => {
-                        gs.ctx
-                            .group_pagerank(&mut gs.r, x, self.cfg.inner_epsilon, 10_000)
-                            .iterations as u64
-                    }
-                    (DprVariant::Dpr1, mode) => {
-                        gs.ctx
-                            .group_pagerank_gs(
-                                &mut gs.r,
-                                x,
-                                self.cfg.inner_epsilon,
-                                10_000,
-                                mode.omega(),
-                            )
-                            .iterations as u64
-                    }
-                    (DprVariant::Dpr2, InnerSolver::Jacobi) => {
-                        gs.ctx.step(&mut gs.r, x);
-                        1
-                    }
-                    (DprVariant::Dpr2, mode) => {
-                        gs.ctx.step_gs(&mut gs.r, x, mode.omega());
-                        1
+                            ),
+                            InnerSolver::GaussSeidel => {
+                                gs.ctx.step_gs_prepared(&mut gs.r, &gs.f_buf)
+                            }
+                        };
+                        gs.inner_sweeps += 1;
+                        (delta, delta == 0.0)
                     }
                 };
-                gs.inner_sweeps += sweeps;
+                gs.last_delta = delta;
+                if !r_unchanged {
+                    gs.y_cache = None;
+                }
+            } else {
+                // The one verification sweep a solve would have paid to
+                // rediscover that `r` is already the fixed point.
+                gs.sweeps_saved += 1;
             }
             gs.outer_iterations += 1;
             let src = gs.ctx.group_id();
-            if self.cfg.ext_cache {
-                // Y is a pure function of `r`; while `r` is bitwise
-                // unchanged the memoized parts are bit-identical to a
-                // fresh computation and only need cloning onto the wire.
-                let y = gs.y_cache.get_or_insert_with(|| {
-                    gs.ctx.compute_y(&gs.r).into_iter().map(|(d, e)| (d, Arc::new(e))).collect()
+            // Y is a pure function of `r`; while `r` is bitwise unchanged
+            // the memoized parts are bit-identical to a fresh computation
+            // and only need cloning onto the wire.
+            let y = gs.y_cache.get_or_insert_with(|| {
+                gs.ctx.compute_y(&gs.r).into_iter().map(|(d, e)| (d, Arc::new(e))).collect()
+            });
+            for (dest, entries) in y {
+                self.pending_y.push(YPart {
+                    src_group: src,
+                    dest_group: *dest,
+                    entries: Arc::clone(entries),
                 });
-                for (dest, entries) in y {
-                    self.pending_y.push(YPart {
-                        src_group: src,
-                        dest_group: *dest,
-                        entries: Arc::clone(entries),
-                    });
-                }
-            } else {
-                for (dest, entries) in gs.ctx.compute_y(&gs.r) {
-                    self.pending_y.push(YPart {
-                        src_group: src,
-                        dest_group: dest,
-                        entries: Arc::new(entries),
-                    });
-                }
             }
         }
     }
@@ -1353,11 +1210,11 @@ impl NetNode {
     /// checkpoint when there is one. The afferent contributions replay
     /// through [`AfferentState::set`] exactly as the original deliveries
     /// did, so the rebuilt `X` is bit-identical to the owner's at snapshot
-    /// time; the next think then solves from the checkpointed `r` instead
-    /// of from zero.
+    /// time (minus any source a crawl delta has since cut off); the next
+    /// think then solves from the checkpointed `r` instead of from zero.
     fn install_group(&mut self, gid: GroupId) {
         let ctx = Arc::clone(&self.contexts.read()[gid as usize]);
-        let mut gs = GroupState::new(ctx, self.cfg.ext_cache);
+        let mut gs = GroupState::new(ctx);
         match self.replica_store.get(&gid) {
             // A checkpoint whose rank vector no longer matches the group's
             // page count describes the group *before* a crawl delta
@@ -1368,7 +1225,9 @@ impl NetNode {
                 let snap = &e.snap;
                 gs.r.copy_from_slice(&snap.r);
                 for (src, entries) in snap.afferent.iter() {
-                    gs.afferent.set(*src, entries.clone());
+                    if self.still_links(*src, gid) {
+                        gs.afferent.set(*src, entries.clone());
+                    }
                 }
                 gs.outer_iterations = snap.epoch;
                 self.counters.takeovers_warm += 1;
@@ -1398,11 +1257,8 @@ impl Actor for NetNode {
 
     fn think(&mut self, _now: f64) {
         // The engine runs this (possibly concurrently with other nodes'
-        // thinks) exactly once before every on_wake. Legacy non-coalesce
-        // mode dispatches relay traffic — which can deliver locally and
-        // alter solve inputs — *before* its solves, so its compute cannot
-        // be hoisted here without changing bits; it stays inline below.
-        if self.active && self.cfg.coalesce {
+        // thinks) exactly once before every on_wake.
+        if self.active {
             self.run_group_thinks();
         }
     }
@@ -1417,34 +1273,19 @@ impl Actor for NetNode {
         }
 
         // 2. Forward buffered relay traffic (indirect transmission's
-        //    store-recombine-forward cycle). With coalescing on, relayed
-        //    parts and freshly produced Y share this wake's packages —
-        //    §4.4's merge at intermediate nodes.
-        let mut outgoing = if self.cfg.coalesce {
-            std::mem::take(&mut self.relay)
-        } else {
-            if !self.relay.is_empty() {
-                let parts = std::mem::take(&mut self.relay);
-                self.dispatch(ctx, parts);
-            }
-            Vec::new()
-        };
-
-        // 3. Collect the Y parts of this wake's DPR loop body. In coalesce
-        //    mode the solves already ran in think() — the engine's
-        //    (possibly parallel) compute stage — and buffered their output
-        //    in `pending_y`; legacy non-coalesce mode runs them inline now,
-        //    after the relay dispatch above (which can deliver locally and
-        //    alter solve inputs).
-        if !self.cfg.coalesce {
-            self.run_group_thinks();
-        }
+        //    store-recombine-forward cycle) together with this wake's
+        //    freshly produced Y — relayed parts and local output share the
+        //    wake's packages, §4.4's merge at intermediate nodes. The
+        //    solves already ran in think() — the engine's (possibly
+        //    parallel) compute stage — and buffered their output in
+        //    `pending_y`.
+        let mut outgoing = std::mem::take(&mut self.relay);
         outgoing.append(&mut self.pending_y);
         if !outgoing.is_empty() {
             self.dispatch(ctx, outgoing);
         }
 
-        // 4. Replication protocol (gated: with `replication == 0` this
+        // 3. Replication protocol (gated: with `replication == 0` this
         //    wake is byte-for-byte the pre-replication baseline). Adopt
         //    orphaned groups whose owner went silent, then ship fresh
         //    checkpoints on the checkpoint clock — adoption first, so a
@@ -1559,8 +1400,7 @@ pub struct NetRunResult {
     pub sched_stats: SchedStats,
     /// Measured mean route length between group publishers and owners.
     pub mean_route_hops: f64,
-    /// Route-cache hit/miss/invalidation counters for the whole run (all
-    /// misses when `route_cache` is off).
+    /// Route-cache hit/miss/invalidation counters for the whole run.
     pub route_cache: RouteCacheStats,
 }
 
@@ -1680,14 +1520,6 @@ pub fn try_run_over_network_with_store(
             });
         }
     }
-    if let InnerSolver::Sor { omega } = cfg.inner_solver {
-        if !(omega > 0.0 && omega < 2.0) {
-            return Err(NetRunError::Config {
-                what: "inner_solver",
-                detail: format!("SOR requires 0 < omega < 2, got {omega}"),
-            });
-        }
-    }
     if !(cfg.inner_epsilon > 0.0 && cfg.inner_epsilon.is_finite()) {
         return Err(NetRunError::Config {
             what: "inner_epsilon",
@@ -1707,14 +1539,6 @@ pub fn try_run_over_network_with_store(
                 detail: format!("margin must be in (0, 1), got {}", s.margin),
             });
         }
-        if !cfg.ext_cache {
-            return Err(NetRunError::Config {
-                what: "adaptive_epsilon",
-                detail: "the adaptive schedule is driven by the held residual the \
-                         dirty-row cache maintains; enable ext_cache"
-                    .into(),
-            });
-        }
     }
     let overlay: Arc<RwLock<AnyOverlay>> = Arc::new(RwLock::new(match cfg.overlay {
         OverlayKind::Pastry => {
@@ -1732,24 +1556,15 @@ pub fn try_run_over_network_with_store(
     let owner_of: Arc<RwLock<Vec<NodeIndex>>> = Arc::new(RwLock::new(
         key_of.iter().map(|&k| overlay.read().as_overlay().responsible(k)).collect(),
     ));
-    let cache = Arc::new(RwLock::new(if cfg.route_cache {
-        RouteCache::new()
-    } else {
-        RouteCache::bypassed()
-    }));
+    let cache = Arc::new(RwLock::new(RouteCache::new()));
 
     let partition = Partition::build(g, &cfg.strategy, cfg.k, 0);
     let mut reference = open_pagerank(g, &cfg.rank).ranks;
     // Run-wide context directory, indexed by group id and shared with
     // every node: static group structure is rebuilt from here (never
     // shipped) when a replica takes over an orphaned group.
-    let layout = if cfg.explicit_matrix {
-        crate::group::MatrixLayout::Explicit
-    } else if cfg.unrolled_spmv {
-        crate::group::MatrixLayout::ImplicitUnrolled
-    } else {
-        crate::group::MatrixLayout::Implicit
-    };
+    let layout =
+        if cfg.unrolled_spmv { MatrixLayout::ImplicitUnrolled } else { MatrixLayout::Implicit };
     let contexts: Arc<RwLock<Vec<Arc<GroupContext>>>> = {
         let mut dir: Vec<Option<Arc<GroupContext>>> = (0..cfg.k).map(|_| None).collect();
         for c in GroupContext::build_all_with_layout(g, &partition, &cfg.rank, layout) {
@@ -1775,7 +1590,7 @@ pub fn try_run_over_network_with_store(
             hop_total += overlay.read().as_overlay().route(owner, key_of[dest as usize]).len();
             hop_count += 1;
         }
-        hosted[owner].push(GroupState::new(Arc::clone(c), cfg.ext_cache));
+        hosted[owner].push(GroupState::new(Arc::clone(c)));
     }
 
     let nodes: Vec<NetNode> = hosted
@@ -1809,7 +1624,7 @@ pub fn try_run_over_network_with_store(
     let plan = cfg.faults.clone().unwrap_or_else(|| {
         FaultPlan::new().with_latency(0.01).with_default_success(cfg.send_success_prob)
     });
-    let mut sim = Simulation::with_plan_scheduler(nodes, cfg.seed, plan, cfg.scheduler);
+    let mut sim = Simulation::with_plan(nodes, cfg.seed, plan);
 
     // Merge departures, joins, and crawl deltas into one time-ordered
     // churn schedule (the sort is stable, so coinciding times keep the
@@ -1846,8 +1661,7 @@ pub fn try_run_over_network_with_store(
     let mut dead: Vec<PageId> = Vec::new();
     // Groups re-solving after a delta: their store publishes are held
     // back — the store keeps serving the pre-delta epoch — until the
-    // group's solver re-stalls on the new fixed point (tracked in cached
-    // mode only; without the ext cache there is no stall detection).
+    // group's solver re-stalls on the new fixed point.
     let mut resolving: HashSet<GroupId> = HashSet::new();
     let mut t = 0.0;
     while t < cfg.t_end {
@@ -2043,7 +1857,6 @@ fn apply_departure(
     let actors = sim.actors_mut();
     actors[node].active = false;
     let replication = actors[node].cfg.replication;
-    let ext_cache = actors[node].cfg.ext_cache;
     let orphaned = std::mem::take(&mut actors[node].groups);
     actors[node].relay.clear();
     actors[node].pending_y.clear();
@@ -2059,7 +1872,7 @@ fn apply_departure(
     for gs in orphaned {
         let gid = gs.ctx.group_id() as usize;
         let new_owner = owners[gid];
-        actors[new_owner].groups.push(GroupState::new(gs.ctx, ext_cache));
+        actors[new_owner].groups.push(GroupState::new(gs.ctx));
     }
 }
 
@@ -2151,7 +1964,14 @@ fn apply_join(
 ///   shifted local indices and dropped pages are handled by
 ///   construction), and the outer epoch keeps counting — the solver
 ///   resumes from the previous fixed point instead of from zero;
-/// * every untouched group keeps its context, its ranks, and its stall
+/// * every group — dirty or not — forgets the `Y` of each dirty source
+///   that no longer links into it at all. Such a source never publishes
+///   to it again, so without the retraction its last `Y` would stay in
+///   `X` forever and the group would settle on a wrong fixed point (the
+///   asynchronous-iteration premise that every input eventually reflects
+///   current values, Kollias et al.). Parts still in flight from it are
+///   dropped on arrival ([`NetNode::still_links`]);
+/// * every other group keeps its context, its ranks, and its stall
 ///   short-circuit — it never notices the delta;
 /// * each node owning at least one dirty group is charged one delta
 ///   shipment (the `DPRG1` delta-record wire bytes plus a header) — the
@@ -2235,9 +2055,7 @@ fn apply_delta(
     let wire = dpr_graph::io::delta_wire_bytes(delta) + cfg.header_bytes;
     let mut charged: BTreeSet<usize> = BTreeSet::new();
     for &gid in dirty.keys() {
-        if cfg.ext_cache {
-            resolving.insert(gid);
-        }
+        resolving.insert(gid);
         // Stale pre-delta checkpoints are useless for a warm takeover;
         // purge them everywhere (a frame already in flight is caught by
         // the length guard in `install_group`).
@@ -2254,7 +2072,7 @@ fn apply_delta(
         };
         charged.insert(host);
         let node = &mut actors[host];
-        let mut gs = GroupState::new(new_ctx, cfg.ext_cache);
+        let mut gs = GroupState::new(new_ctx);
         {
             let old = &node.groups[slot];
             // Surviving pages keep their converged ranks; inserted pages
@@ -2266,9 +2084,8 @@ fn apply_delta(
             }
             // Replay the afferent history from the last accepted raw
             // payloads — exactly what re-delivering those messages would
-            // do under the new context. (Without the ext cache no raw
-            // payloads are retained; peers repopulate `X` as they
-            // republish every wake.)
+            // do under the new context (sources cut off by this delta are
+            // retracted below).
             for (&src, payload) in &old.last_payload {
                 let localized: Vec<(u32, f64)> = payload
                     .iter()
@@ -2282,6 +2099,17 @@ fn apply_delta(
             gs.outer_iterations = old.outer_iterations;
         }
         node.groups[slot] = gs;
+    }
+    // Only a dirty group's links changed, so only a dirty source can have
+    // lost its last link into some group.
+    for gs in actors.iter_mut().flat_map(|a| a.groups.iter_mut()) {
+        let gid = gs.ctx.group_id();
+        for &src in dirty.keys() {
+            if !dir[src as usize].links_to(gid) {
+                gs.afferent.retract(src);
+                gs.last_payload.remove(&src);
+            }
+        }
     }
     drop(dir);
     for host in charged {
@@ -2612,13 +2440,6 @@ mod tests {
             what(NetRunConfig { replication: 1, overlay: OverlayKind::Can { d: 2 }, ..base() }),
             "replication"
         );
-        for omega in [0.0, -0.5, 2.0, 2.5, f64::NAN] {
-            assert_eq!(
-                what(NetRunConfig { inner_solver: InnerSolver::Sor { omega }, ..base() }),
-                "inner_solver",
-                "omega {omega} must be rejected"
-            );
-        }
         for eps in [0.0, -1e-10, f64::INFINITY, f64::NAN] {
             assert_eq!(what(NetRunConfig { inner_epsilon: eps, ..base() }), "inner_epsilon");
         }
@@ -2634,16 +2455,6 @@ mod tests {
                 "{bad:?} must be rejected"
             );
         }
-        // The schedule needs the held residual only the dirty-row cache
-        // maintains.
-        assert_eq!(
-            what(NetRunConfig {
-                adaptive_epsilon: Some(AdaptiveEpsilon::default()),
-                ext_cache: false,
-                ..base()
-            }),
-            "adaptive_epsilon"
-        );
         let err = try_run_over_network(&g, NetRunConfig { k: 0, ..base() }).unwrap_err();
         assert!(err.to_string().contains("invalid net-run config"));
     }
@@ -2653,16 +2464,12 @@ mod tests {
         assert_eq!("jacobi".parse::<InnerSolver>().unwrap(), InnerSolver::Jacobi);
         assert_eq!("gauss-seidel".parse::<InnerSolver>().unwrap(), InnerSolver::GaussSeidel);
         assert_eq!("gs".parse::<InnerSolver>().unwrap(), InnerSolver::GaussSeidel);
-        assert_eq!("sor:1.25".parse::<InnerSolver>().unwrap(), InnerSolver::Sor { omega: 1.25 });
-        for bad in ["frobnicate", "sor:", "sor:abc", "SOR:1.1", ""] {
+        for bad in ["frobnicate", "sor:1.1", "sor:", "gauss_seidel", "Jacobi", ""] {
             match bad.parse::<InnerSolver>().unwrap_err() {
                 NetRunError::Config { what, .. } => assert_eq!(what, "inner_solver"),
                 other => panic!("expected a config error for {bad:?}, got {other:?}"),
             }
         }
-        // A parsed-but-out-of-range omega is caught at run validation, so
-        // the CLI path can never reach the solver's panic.
-        assert_eq!("sor:7".parse::<InnerSolver>().unwrap(), InnerSolver::Sor { omega: 7.0 });
     }
 
     #[test]
@@ -2850,84 +2657,31 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_reduces_traffic_with_identical_final_ranks() {
-        // The golden on/off comparison: §4.4 coalescing may only change
-        // *cost* counters (down), never the ranks.
-        let g = toy::two_cliques(6);
-        let base = quick(Transmission::Indirect);
-        let on = run_over_network(&g, NetRunConfig { coalesce: true, ..base.clone() });
-        let off = run_over_network(&g, NetRunConfig { coalesce: false, ..base });
-        assert_eq!(
-            on.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            off.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            "coalescing must be rank-neutral"
-        );
-        assert!(on.counters.coalesced_parts > 0, "relayed duplicates must get merged");
-        assert_eq!(off.counters.coalesced_parts, 0);
-        // Merging same-(src, dest) parts shrinks packages; it only removes
-        // whole packages when a relay batch and the node's own output share
-        // a next hop, so messages are ≤ and bytes strictly <.
-        assert!(on.counters.data_messages <= off.counters.data_messages);
-        assert!(
-            on.counters.bytes < off.counters.bytes,
-            "coalescing must cut bytes: {} vs {}",
-            on.counters.bytes,
-            off.counters.bytes
-        );
-    }
-
-    #[test]
     fn direct_coalescing_batches_per_owner() {
         // With fewer nodes than groups every node hosts several groups, so
         // a sender has multiple parts bound for the same owner per wake;
         // §4.4 batching must collapse them into one data message each —
         // while still pricing every part's own §4.5 lookup — without
-        // disturbing the final ranks.
+        // disturbing the final ranks. The numbers are what per-part sends
+        // (one data message per part, removed from the engine) did on
+        // this run, rank bits included as an FNV-1a digest.
+        let (per_part_ranks, per_part_messages, per_part_bytes, lookups) =
+            (0xee5f_da0d_15a7_50fb_u64, 9_732, 2_048_080, 9_732);
         let g = toy::two_cliques(6);
-        let base = NetRunConfig { n_nodes: 6, ..quick(Transmission::Direct) };
-        let on = run_over_network(&g, NetRunConfig { coalesce: true, ..base.clone() });
-        let off = run_over_network(&g, NetRunConfig { coalesce: false, ..base });
-        assert_eq!(
-            on.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            off.final_ranks.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            "batching must be rank-neutral"
-        );
+        let res = run_over_network(&g, NetRunConfig { n_nodes: 6, ..quick(Transmission::Direct) });
+        let bits: Vec<u8> =
+            res.final_ranks.iter().flat_map(|r| r.to_bits().to_le_bytes()).collect();
+        let digest = dpr_graph::urls::fnv1a(&bits);
+        assert_eq!(digest, per_part_ranks, "batching must be rank-neutral");
         assert!(
-            on.counters.data_messages < off.counters.data_messages,
-            "batching must cut data messages: {} vs {}",
-            on.counters.data_messages,
-            off.counters.data_messages
+            res.counters.data_messages < per_part_messages,
+            "batching must cut data messages: {} vs {per_part_messages}",
+            res.counters.data_messages
         );
-        assert!(on.counters.bytes < off.counters.bytes);
+        assert!(res.counters.bytes < per_part_bytes);
         assert_eq!(
-            on.counters.lookup_messages, off.counters.lookup_messages,
+            res.counters.lookup_messages, lookups,
             "batched parts still pay their own lookups"
-        );
-    }
-
-    #[test]
-    fn route_cache_is_invisible_to_results() {
-        // Cache on vs off: *everything* observable must be identical —
-        // ranks, §4.5 counters, engine stats. Only the hit/miss bookkeeping
-        // may differ.
-        let g = toy::two_cliques(5);
-        let base = NetRunConfig {
-            departures: vec![(60.0, 2), (90.0, 5)],
-            t_end: 250.0,
-            ..quick(Transmission::Indirect)
-        };
-        let cached = run_over_network(&g, NetRunConfig { route_cache: true, ..base.clone() });
-        let fresh = run_over_network(&g, NetRunConfig { route_cache: false, ..base });
-        assert_eq!(cached.final_ranks, fresh.final_ranks);
-        assert_eq!(cached.counters, fresh.counters);
-        assert_eq!(cached.sim_stats, fresh.sim_stats);
-        assert!(cached.route_cache.hits > 0);
-        assert_eq!(cached.route_cache.invalidations, 2, "one flush per departure");
-        assert_eq!(fresh.route_cache.hits, 0, "a bypassed cache never hits");
-        assert_eq!(
-            cached.route_cache.hits + cached.route_cache.misses,
-            fresh.route_cache.misses,
-            "both modes must count the same lookups"
         );
     }
 
@@ -2981,9 +2735,8 @@ mod tests {
         // arithmetic, so worker count can only reorder scheduling, never
         // the bits.
         let g = toy::two_cliques(5);
-        let modes: [(InnerSolver, Option<AdaptiveEpsilon>); 3] = [
+        let modes: [(InnerSolver, Option<AdaptiveEpsilon>); 2] = [
             (InnerSolver::GaussSeidel, None),
-            (InnerSolver::Sor { omega: 1.1 }, None),
             (InnerSolver::GaussSeidel, Some(AdaptiveEpsilon::default())),
         ];
         for (inner_solver, adaptive_epsilon) in modes {
@@ -3053,7 +2806,6 @@ mod tests {
         );
         for (mode, adaptive) in [
             (InnerSolver::GaussSeidel, None),
-            (InnerSolver::Sor { omega: 1.1 }, None),
             (InnerSolver::GaussSeidel, Some(AdaptiveEpsilon::default())),
         ] {
             let res = run(mode, adaptive);
@@ -3069,19 +2821,13 @@ mod tests {
                 top10(&jacobi.final_ranks),
                 "{mode:?} adaptive={adaptive:?}: top-10 moved"
             );
-            // Sweep win: asserted for plain GS modes. SOR (ω ≠ 1) is
-            // excluded — its relaxation arithmetic never reproduces the
-            // fixed point bitwise, so it forgoes the stall short-circuit
-            // and pays a one-sweep touch-up every window (see DESIGN.md
-            // §15).
-            if mode == InnerSolver::GaussSeidel {
-                assert!(
-                    res.counters.inner_sweeps < jacobi.counters.inner_sweeps,
-                    "{mode:?} adaptive={adaptive:?}: {} sweeps vs jacobi's {}",
-                    res.counters.inner_sweeps,
-                    jacobi.counters.inner_sweeps
-                );
-            }
+            // Sweep win over Jacobi.
+            assert!(
+                res.counters.inner_sweeps < jacobi.counters.inner_sweeps,
+                "{mode:?} adaptive={adaptive:?}: {} sweeps vs jacobi's {}",
+                res.counters.inner_sweeps,
+                jacobi.counters.inner_sweeps
+            );
         }
         // The adaptive schedule must save real work over plain GS and say
         // so in the counter.
@@ -3484,5 +3230,75 @@ mod tests {
         );
         assert_eq!(par.counters, res.counters);
         assert_eq!(par.rel_err.points(), res.rel_err.points());
+    }
+
+    /// The ordered group pair `(src, dest)` joined by the fewest links
+    /// under `cfg`'s partition, with every link instance from `src` into
+    /// `dest` — a delta removing all of them cuts `src` off from `dest`.
+    fn thinnest_cross_link(
+        g: &WebGraph,
+        cfg: &NetRunConfig,
+    ) -> (GroupId, GroupId, Vec<(PageId, PageId)>) {
+        let partition = Partition::build(g, &cfg.strategy, cfg.k, 0);
+        let mut links: BTreeMap<(GroupId, GroupId), Vec<(PageId, PageId)>> = BTreeMap::new();
+        for u in 0..g.n_pages() as PageId {
+            for &v in g.out_links(u) {
+                let (gu, gv) = (partition.group_of(u), partition.group_of(v));
+                if gu != gv {
+                    links.entry((gu, gv)).or_default().push((u, v));
+                }
+            }
+        }
+        let ((src, dest), cut) =
+            links.into_iter().min_by_key(|(_, l)| l.len()).expect("a cross-group link");
+        (src, dest, cut)
+    }
+
+    /// A converged run, then one delta at t = 150 that removes every link
+    /// of the thinnest group pair plus `extra` ops; returns the final
+    /// relative error against the post-delta fixed point.
+    fn cut_off_run(extra: impl Fn(GroupId, GroupId, &Partition) -> Vec<DeltaOp>) -> f64 {
+        let g = dpr_graph::generators::random::erdos_renyi(300, 10, 4.0, 7);
+        let base = NetRunConfig { k: 8, n_nodes: 8, t_end: 600.0, ..quick(Transmission::Indirect) };
+        let (src, dest, cut) = thinnest_cross_link(&g, &base);
+        let partition = Partition::build(&g, &base.strategy, base.k, 0);
+        let mut ops: Vec<DeltaOp> =
+            cut.iter().map(|&(from, to)| DeltaOp::RemoveLink { from, to }).collect();
+        ops.extend(extra(src, dest, &partition));
+        let delta = GraphDelta { ops };
+        let res = run_over_network(&g, NetRunConfig { deltas: vec![(150.0, delta)], ..base });
+        assert!(res.rel_err.value_at(149.0).unwrap() < 1e-6, "must converge before the delta");
+        res.final_rel_err
+    }
+
+    #[test]
+    fn cut_off_source_is_retracted_from_a_dirty_receiver() {
+        // The receiver is itself rebuilt by the delta (one of its pages
+        // gains an internal link), so its warm restart replays its
+        // afferent history — which must not include the source the same
+        // delta cut off.
+        let err = cut_off_run(|_, dest, partition| {
+            let own: Vec<PageId> = (0..partition.assignment().len() as PageId)
+                .filter(|&p| partition.group_of(p) == dest)
+                .take(2)
+                .collect();
+            vec![DeltaOp::AddLink { from: own[0], to: own[1] }]
+        });
+        assert!(err <= 1e-9, "stale afferent Y survived the delta: rel err {err}");
+    }
+
+    #[test]
+    fn cut_off_source_is_retracted_from_an_untouched_receiver() {
+        // Only the source's pages change: the cut links are redirected
+        // inside the source group, so the receiver is not dirtied at all —
+        // yet it still has to drop the source's last Y.
+        let err = cut_off_run(|src, _, partition| {
+            let own: Vec<PageId> = (0..partition.assignment().len() as PageId)
+                .filter(|&p| partition.group_of(p) == src)
+                .take(2)
+                .collect();
+            vec![DeltaOp::AddLink { from: own[1], to: own[0] }]
+        });
+        assert!(err <= 1e-9, "stale afferent Y survived the delta: rel err {err}");
     }
 }

@@ -15,9 +15,7 @@
 //! Because of that invariant the cache is invisible to simulation results
 //! (same ranks, same §4.5 counters, same `SimStats`); it only removes
 //! repeated route walks and their per-hop `Vec` allocations from the hot
-//! path. A [`RouteCache::bypassed`] instance keeps the same bookkeeping
-//! (every lookup counted as a miss) without storing anything, so benchmarks
-//! can report an honest allocations-per-delivery proxy for both modes.
+//! path.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,8 +27,7 @@ use crate::{NodeIndex, Overlay};
 pub struct RouteCacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to walk the overlay (including every lookup of a
-    /// bypassed cache).
+    /// Lookups that had to walk the overlay.
     pub misses: u64,
     /// Number of times a generation change flushed the cache.
     pub invalidations: u64,
@@ -75,9 +72,6 @@ pub struct RouteCache {
     routes: HashMap<(NodeIndex, u128), Arc<[NodeIndex]>>,
     replica_sets: HashMap<(u128, usize), Arc<[NodeIndex]>>,
     stats: RouteCacheStats,
-    /// When set, nothing is stored and every lookup counts as a miss —
-    /// the "cache off" configuration with identical bookkeeping.
-    bypass: bool,
 }
 
 impl RouteCache {
@@ -85,19 +79,6 @@ impl RouteCache {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A cache that memoizes nothing: every lookup recomputes and counts
-    /// as a miss. Lets "cache off" runs share the cache-aware call sites.
-    #[must_use]
-    pub fn bypassed() -> Self {
-        Self { bypass: true, ..Self::default() }
-    }
-
-    /// Whether this instance actually stores entries.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        !self.bypass
     }
 
     /// Drops every entry if the overlay's topology generation moved since
@@ -121,10 +102,6 @@ impl RouteCache {
     /// Memoized [`Overlay::next_hop`]. Identical to the overlay's answer
     /// by construction: entries never survive a generation change.
     pub fn next_hop(&mut self, net: &dyn Overlay, src: NodeIndex, key: u128) -> Option<NodeIndex> {
-        if self.bypass {
-            self.stats.misses += 1;
-            return net.next_hop(src, key);
-        }
         self.sync(net);
         if let Some(&hop) = self.next_hops.get(&(src, key)) {
             self.stats.hits += 1;
@@ -138,10 +115,6 @@ impl RouteCache {
 
     /// Memoized [`Overlay::route`], shared without copying the hop vector.
     pub fn route(&mut self, net: &dyn Overlay, src: NodeIndex, key: u128) -> Arc<[NodeIndex]> {
-        if self.bypass {
-            self.stats.misses += 1;
-            return net.route(src, key).into();
-        }
         self.sync(net);
         if let Some(path) = self.routes.get(&(src, key)) {
             self.stats.hits += 1;
@@ -164,10 +137,6 @@ impl RouteCache {
     /// they ride the same generation-stamped invalidation as routes: a
     /// cached set can never outlive the membership that produced it.
     pub fn replicas(&mut self, net: &dyn Overlay, key: u128, k: usize) -> Arc<[NodeIndex]> {
-        if self.bypass {
-            self.stats.misses += 1;
-            return net.replicas(key, k).into();
-        }
         self.sync(net);
         if let Some(set) = self.replica_sets.get(&(key, k)) {
             self.stats.hits += 1;
@@ -259,17 +228,40 @@ mod tests {
     }
 
     #[test]
-    fn bypassed_cache_stores_nothing_and_counts_misses() {
-        let net = ChordNetwork::with_nodes(32, 11);
-        let mut cache = RouteCache::bypassed();
-        let key = key_from_u64(9);
-        for _ in 0..3 {
-            assert_eq!(cache.next_hop(&net, 2, key), net.next_hop(2, key));
-        }
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses, 3);
-        assert_eq!(cache.stats().hits, 0);
-        assert_eq!(cache.stats().hit_rate(), 0.0);
+    fn cache_matches_direct_overlay_across_a_join_and_a_departure() {
+        // Every memoized answer — next hop, full route, hop count, replica
+        // set — must equal the overlay's own, before and after each
+        // membership change, and every lookup is counted exactly once.
+        let mut net = PastryNetwork::with_nodes(24, 31);
+        let mut cache = RouteCache::new();
+        let keys: Vec<u128> = (0..12u64).map(key_from_u64).collect();
+        let mut lookups = 0u64;
+        let mut check = |cache: &mut RouteCache, net: &PastryNetwork| {
+            let srcs: Vec<NodeIndex> = (0..net.n_nodes()).filter(|&h| net.is_alive(h)).collect();
+            // Two passes: the first fills the cache, the second must hit.
+            for _ in 0..2 {
+                for &key in &keys {
+                    for &src in &srcs {
+                        assert_eq!(cache.next_hop(net, src, key), net.next_hop(src, key));
+                        assert_eq!(cache.route(net, src, key).as_ref(), net.route(src, key));
+                        assert_eq!(cache.route_hops(net, src, key), net.route(src, key).len());
+                        lookups += 3;
+                    }
+                    assert_eq!(cache.replicas(net, key, 3).as_ref(), net.replicas(key, 3));
+                    lookups += 1;
+                }
+            }
+            assert_eq!(cache.stats().hits + cache.stats().misses, lookups);
+        };
+        check(&mut cache, &net);
+        let hits_before_churn = cache.stats().hits;
+        assert!(hits_before_churn > 0, "the second pass must be served from the cache");
+        net.join(0, 0xB0B);
+        check(&mut cache, &net);
+        assert_eq!(cache.stats().invalidations, 1, "the join must flush every entry");
+        net.depart(net.responsible(keys[0]));
+        check(&mut cache, &net);
+        assert_eq!(cache.stats().invalidations, 2, "the departure must flush every entry");
     }
 
     #[test]
@@ -288,18 +280,6 @@ mod tests {
         assert_eq!(fresh.as_ref(), net.replicas(key, 2).as_slice());
         assert_eq!(cache.stats().invalidations, 1);
         assert_ne!(first.as_ref(), fresh.as_ref());
-    }
-
-    #[test]
-    fn bypassed_replicas_store_nothing() {
-        let net = PastryNetwork::with_nodes(16, 3);
-        let mut cache = RouteCache::bypassed();
-        let key = key_from_u64(2);
-        for _ in 0..2 {
-            assert_eq!(cache.replicas(&net, key, 2).as_ref(), net.replicas(key, 2).as_slice());
-        }
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]

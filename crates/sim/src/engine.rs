@@ -5,7 +5,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::faults::{BlockReason, FaultPlan};
-use crate::sched::{EventQueue, SchedStats, SchedulerKind};
+use crate::sched::{SchedStats, SlabScheduler};
 
 /// Simulation parameters (the legacy scalar fault model). Internally this
 /// converts into a trivial [`FaultPlan`]; use [`Simulation::with_plan`]
@@ -170,7 +170,7 @@ impl<M> HeldEvent<M> {
 struct Kernel<M> {
     // Dequeue order is by (time, seq): earliest time first, FIFO
     // (sequence) among equal times — identical under either scheduler.
-    queue: EventQueue<EventKind<M>>,
+    queue: SlabScheduler<EventKind<M>>,
     rng: SmallRng,
     plan: FaultPlan,
     stats: SimStats,
@@ -261,29 +261,13 @@ impl<A: Actor> Simulation<A> {
     }
 
     /// Creates a simulation over `actors` with a full [`FaultPlan`]. The
-    /// same `(seed, plan)` pair replays bit-identically. Uses the default
-    /// slab-backed scheduler; see [`Simulation::with_plan_scheduler`] to
-    /// select the legacy heap.
+    /// same `(seed, plan)` pair replays bit-identically.
     #[must_use]
     pub fn with_plan(actors: Vec<A>, seed: u64, plan: FaultPlan) -> Self {
-        Self::with_plan_scheduler(actors, seed, plan, SchedulerKind::default())
-    }
-
-    /// [`Simulation::with_plan`] with an explicit event-scheduler choice.
-    /// Both schedulers dequeue in the identical `(time, seq)` total order,
-    /// so every run is bit-identical across them; the choice only affects
-    /// wall-clock speed and allocation behavior (see [`crate::sched`]).
-    #[must_use]
-    pub fn with_plan_scheduler(
-        actors: Vec<A>,
-        seed: u64,
-        plan: FaultPlan,
-        scheduler: SchedulerKind,
-    ) -> Self {
         Self {
             actors,
             kernel: Kernel {
-                queue: EventQueue::new(scheduler),
+                queue: SlabScheduler::new(),
                 rng: SmallRng::seed_from_u64(seed),
                 plan,
                 stats: SimStats::default(),
@@ -404,7 +388,7 @@ impl<A: Actor> Simulation<A> {
     /// at exactly `t_end` are still processed.
     pub fn run_until(&mut self, t_end: f64) {
         self.start_if_needed();
-        while let Some(time) = self.kernel.queue.peek_time() {
+        while let Some((time, _)) = self.kernel.queue.peek_key() {
             if time > t_end {
                 break;
             }

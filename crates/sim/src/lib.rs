@@ -56,5 +56,5 @@ pub mod waits;
 
 pub use engine::{Actor, Ctx, SimConfig, SimStats, Simulation};
 pub use faults::{FaultPlan, Jitter};
-pub use sched::{SchedStats, SchedulerKind};
+pub use sched::SchedStats;
 pub use trace::TimeSeries;

@@ -1,56 +1,33 @@
 //! The event scheduler behind the virtual-time loop.
 //!
-//! Two interchangeable implementations of one priority queue keyed by
-//! `(time, seq)`:
-//!
-//! * [`SlabScheduler`] (the default) — event payloads live in a reusable
-//!   **arena** with free-list recycling, and a binary heap of small
-//!   24-byte index entries decides the order. Steady-state operation
-//!   performs **no per-event allocation**: a popped event returns its slot
-//!   to the free list and the next push reuses it, and heap sift
-//!   operations move only `(time, seq, slot)` triples instead of whole
-//!   event payloads (which, for the network simulation, carry `Arc`s and
-//!   enum variants an order of magnitude larger).
-//! * the legacy `BinaryHeap<Reverse<Event>>` — kept selectable through
-//!   [`SchedulerKind::BinaryHeap`] so golden tests and benchmarks can
-//!   prove the slab path delivers the *exact* same event order and beats
-//!   the heap on throughput.
+//! [`SlabScheduler`] is a priority queue keyed by `(time, seq)`: event
+//! payloads live in a reusable **arena** with free-list recycling, and a
+//! binary heap of small 24-byte index entries decides the order.
+//! Steady-state operation performs **no per-event allocation**: a popped
+//! event returns its slot to the free list and the next push reuses it,
+//! and heap sift operations move only `(time, seq, slot)` triples instead
+//! of whole event payloads (which, for the network simulation, carry
+//! `Arc`s and enum variants an order of magnitude larger).
 //!
 //! # Determinism
 //!
-//! Both schedulers dequeue strictly by `(time, seq)` where `seq` is the
+//! The scheduler dequeues strictly by `(time, seq)` where `seq` is the
 //! global push counter maintained by the engine. Every event's key is
 //! unique (`seq` never repeats), so the order is *total* — there are no
-//! ties for a heap to break arbitrarily — and the two implementations are
-//! observationally identical: same deliveries, same RNG consumption, same
-//! `SimStats`, bit-identical actor state. `crates/sim/tests/`'s golden
-//! test pins this equivalence under a mixed wake/send/fault workload.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Which event-queue implementation the engine uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Slab arena + index heap (no per-event allocation in steady state).
-    #[default]
-    Slab,
-    /// The legacy `BinaryHeap` of whole events (baseline / golden-test
-    /// reference).
-    BinaryHeap,
-}
+//! ties for a heap to break arbitrarily — and it is exactly the order a
+//! `BinaryHeap<Reverse<(time, seq)>>` yields. `crates/sim/tests/`'s
+//! scheduler tests pin that equivalence on random push/pop/peek
+//! interleavings with equal-time ties.
 
 /// Allocation/recycling counters of the active scheduler. For the slab
 /// scheduler `arena_slots` is the high-water mark of *distinct* slots ever
 /// allocated; in steady state it stays flat while `pushes` keeps growing —
-/// the "no per-event allocation growth" property benchmarks assert. The
-/// heap scheduler reports its equivalent capacity numbers.
+/// the "no per-event allocation growth" property benchmarks assert.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Total events ever pushed.
     pub pushes: u64,
-    /// Distinct payload slots allocated over the run (slab: arena length;
-    /// heap: peak queue length — every element is an inline payload).
+    /// Distinct payload slots allocated over the run (the arena length).
     pub arena_slots: usize,
     /// Peak number of events simultaneously queued.
     pub peak_queue_len: usize,
@@ -225,146 +202,9 @@ impl<T> SlabScheduler<T> {
     }
 }
 
-/// One event in the legacy heap (payload stored inline).
-pub(crate) struct HeapEvent<T> {
-    time: f64,
-    seq: u64,
-    payload: T,
-}
-
-impl<T> PartialEq for HeapEvent<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for HeapEvent<T> {}
-impl<T> PartialOrd for HeapEvent<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEvent<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time.total_cmp(&other.time).then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// The engine-facing queue: one of the two implementations, same contract.
-pub(crate) enum EventQueue<T> {
-    /// Arena-backed scheduler.
-    Slab(SlabScheduler<T>),
-    /// Legacy `BinaryHeap` of whole events.
-    Heap { queue: BinaryHeap<Reverse<HeapEvent<T>>>, pushes: u64, peak: usize },
-}
-
-impl<T> EventQueue<T> {
-    /// Creates the queue flavor selected by `kind`.
-    #[must_use]
-    pub fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Slab => EventQueue::Slab(SlabScheduler::new()),
-            SchedulerKind::BinaryHeap => {
-                EventQueue::Heap { queue: BinaryHeap::new(), pushes: 0, peak: 0 }
-            }
-        }
-    }
-
-    /// Queues `payload` under `(time, seq)`.
-    pub fn push(&mut self, time: f64, seq: u64, payload: T) {
-        match self {
-            EventQueue::Slab(s) => s.push(time, seq, payload),
-            EventQueue::Heap { queue, pushes, peak } => {
-                queue.push(Reverse(HeapEvent { time, seq, payload }));
-                *pushes += 1;
-                *peak = (*peak).max(queue.len());
-            }
-        }
-    }
-
-    /// Earliest queued time, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<f64> {
-        match self {
-            EventQueue::Slab(s) => s.peek_key().map(|(t, _)| t),
-            EventQueue::Heap { queue, .. } => queue.peek().map(|Reverse(e)| e.time),
-        }
-    }
-
-    /// Earliest queued `(time, seq)`, if any.
-    #[must_use]
-    pub fn peek_key(&self) -> Option<(f64, u64)> {
-        match self {
-            EventQueue::Slab(s) => s.peek_key(),
-            EventQueue::Heap { queue, .. } => queue.peek().map(|Reverse(e)| (e.time, e.seq)),
-        }
-    }
-
-    /// Earliest queued event with a borrow of its payload, without
-    /// dequeuing.
-    #[must_use]
-    pub fn peek(&self) -> Option<(f64, u64, &T)> {
-        match self {
-            EventQueue::Slab(s) => s.peek(),
-            EventQueue::Heap { queue, .. } => {
-                queue.peek().map(|Reverse(e)| (e.time, e.seq, &e.payload))
-            }
-        }
-    }
-
-    /// Dequeues the earliest event as `(time, payload)`.
-    pub fn pop(&mut self) -> Option<(f64, T)> {
-        match self {
-            EventQueue::Slab(s) => s.pop(),
-            EventQueue::Heap { queue, .. } => queue.pop().map(|Reverse(e)| (e.time, e.payload)),
-        }
-    }
-
-    /// Allocation counters of the active implementation.
-    #[must_use]
-    pub fn stats(&self) -> SchedStats {
-        match self {
-            EventQueue::Slab(s) => s.stats(),
-            EventQueue::Heap { queue, pushes, peak } => SchedStats {
-                pushes: *pushes,
-                arena_slots: *peak,
-                peak_queue_len: *peak,
-                queue_len: queue.len(),
-                ..SchedStats::default()
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Drains `q` and returns the (time, payload) sequence.
-    fn drain(q: &mut EventQueue<u32>) -> Vec<(f64, u32)> {
-        std::iter::from_fn(|| q.pop()).collect()
-    }
-
-    #[test]
-    fn both_schedulers_pop_in_identical_key_order() {
-        // Adversarial key set: duplicate times (order decided by seq),
-        // interleaved pushes and pops.
-        let keys: Vec<(f64, u64)> =
-            vec![(3.0, 0), (1.0, 1), (3.0, 2), (0.5, 3), (1.0, 4), (0.5, 5), (2.0, 6), (0.0, 7)];
-        let mut slab = EventQueue::new(SchedulerKind::Slab);
-        let mut heap = EventQueue::new(SchedulerKind::BinaryHeap);
-        for (i, &(t, s)) in keys.iter().enumerate() {
-            slab.push(t, s, i as u32);
-            heap.push(t, s, i as u32);
-        }
-        let a = drain(&mut slab);
-        let b = drain(&mut heap);
-        assert_eq!(a, b);
-        // And the order is (time, seq)-sorted.
-        let mut sorted = keys.clone();
-        sorted.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
-        let popped: Vec<(f64, u64)> = a.iter().map(|&(t, i)| (t, keys[i as usize].1)).collect();
-        assert_eq!(popped, sorted);
-    }
 
     #[test]
     fn slab_recycles_slots_in_steady_state() {
@@ -404,12 +244,12 @@ mod tests {
 
     #[test]
     fn peek_matches_pop() {
-        let mut q = EventQueue::new(SchedulerKind::Slab);
+        let mut q = SlabScheduler::new();
         q.push(2.0, 0, 'x');
         q.push(1.0, 1, 'y');
-        assert_eq!(q.peek_time(), Some(1.0));
+        assert_eq!(q.peek(), Some((1.0, 1, &'y')));
         assert_eq!(q.pop(), Some((1.0, 'y')));
-        assert_eq!(q.peek_time(), Some(2.0));
+        assert_eq!(q.peek_key(), Some((2.0, 0)));
     }
 
     #[test]

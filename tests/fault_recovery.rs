@@ -107,44 +107,60 @@ fn partition_then_heal_reconverges() {
     );
 }
 
-/// The fault-recovery scenarios replay bit-identically on the legacy
-/// `BinaryHeap` + full-rebuild engine and the slab scheduler + dirty-row
-/// cache: same ranks, same engine statistics, through Chord crashes with
-/// state-loss migration and a partition window.
+/// The fault-recovery scenarios replay bit-identically what the legacy
+/// `BinaryHeap` + full-rebuild engine produced (pinned while both engines
+/// existed and agreed): same ranks, same engine statistics, through Chord
+/// crashes with state-loss migration and a partition window.
 #[test]
 fn legacy_and_slab_engines_agree_under_recovery_scenarios() {
-    use dpr::sim::SchedulerKind;
     let g = toy::two_cliques(6);
     let side_a: Vec<usize> = (0..12).collect();
+    let stats = |sends_attempted, dropped, deliveries, wakes| dpr::sim::SimStats {
+        sends_attempted,
+        sends_dropped: dropped,
+        partition_dropped: dropped,
+        crash_dropped: 0,
+        deliveries,
+        wakes,
+    };
+    // (scenario, FNV-1a digest of the legacy rank bits, legacy engine
+    // statistics)
     let scenarios = [
-        NetRunConfig {
-            k: 24,
-            n_nodes: 24,
-            overlay: OverlayKind::Chord,
-            strategy: Strategy::HashByUrl,
-            t_end: 400.0,
-            departures: vec![(60.0, 2), (90.0, 5)],
-            ..NetRunConfig::default()
-        },
-        NetRunConfig {
-            k: 24,
-            n_nodes: 24,
-            strategy: Strategy::HashByUrl,
-            t_end: 400.0,
-            faults: Some(FaultPlan::new().with_latency(0.01).with_partition(10.0, 60.0, &side_a)),
-            ..NetRunConfig::default()
-        },
+        (
+            NetRunConfig {
+                k: 24,
+                n_nodes: 24,
+                overlay: OverlayKind::Chord,
+                strategy: Strategy::HashByUrl,
+                t_end: 400.0,
+                departures: vec![(60.0, 2), (90.0, 5)],
+                ..NetRunConfig::default()
+            },
+            0x4f98_24eb_0bce_1055,
+            stats(10_083, 0, 10_083, 7_461),
+        ),
+        (
+            NetRunConfig {
+                k: 24,
+                n_nodes: 24,
+                strategy: Strategy::HashByUrl,
+                t_end: 400.0,
+                faults: Some(
+                    FaultPlan::new().with_latency(0.01).with_partition(10.0, 60.0, &side_a),
+                ),
+                ..NetRunConfig::default()
+            },
+            0x44f2_5da1_7939_92a1,
+            stats(10_387, 746, 9_641, 8_561),
+        ),
     ];
-    for cfg in scenarios {
-        let new = run_over_network(&g, cfg.clone());
-        let old = run_over_network(
-            &g,
-            NetRunConfig { scheduler: SchedulerKind::BinaryHeap, ext_cache: false, ..cfg },
-        );
-        let new_bits: Vec<u64> = new.final_ranks.iter().map(|x| x.to_bits()).collect();
-        let old_bits: Vec<u64> = old.final_ranks.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(new_bits, old_bits, "ranks diverged between engines");
-        assert_eq!(new.sim_stats, old.sim_stats);
+    for (cfg, legacy_ranks, legacy_stats) in scenarios {
+        let new = run_over_network(&g, cfg);
+        let bits: Vec<u8> =
+            new.final_ranks.iter().flat_map(|r| r.to_bits().to_le_bytes()).collect();
+        let digest = dpr::graph::urls::fnv1a(&bits);
+        assert_eq!(digest, legacy_ranks, "ranks diverged between engines");
+        assert_eq!(new.sim_stats, legacy_stats);
     }
 }
 

@@ -1,15 +1,25 @@
 //! Whole-system guarantees for the message-path fast paths: §4.4 update
-//! coalescing and the overlay route cache may change *cost* (messages,
-//! bytes) but never *results*. Final ranks must be bit-identical with the
-//! optimizations on vs off — under clean reliable delivery and under the
-//! fault plans (loss, partition, crash windows) — and the route cache must
-//! leave every observable counter untouched even through churn.
+//! coalescing, the overlay route cache, the slab event scheduler and the
+//! dirty-row afferent cache may change *cost* (messages, bytes, work) but
+//! never *results*. Each of them used to sit next to a slower reference
+//! twin selectable in `NetRunConfig` (per-part sends, uncached lookups, a
+//! `BinaryHeap` event queue, full `X` rebuilds), and these tests compared
+//! the two on the same run. The twins are gone from the engine; what they
+//! produced on these scenarios — recorded while both paths existed and
+//! agreed bit for bit — is pinned here instead: the final rank bits as a
+//! digest, plus every counter the comparisons asserted on. The scenarios
+//! cover clean reliable delivery and the fault plans (loss, partition,
+//! crash windows), and the route cache must leave every observable
+//! counter untouched even through churn.
 
-use dpr::core::{try_run_over_network, NetRunConfig, NetRunResult, Reliability, Transmission};
+use dpr::core::{
+    try_run_over_network, NetCounters, NetRunConfig, NetRunResult, Reliability, Transmission,
+};
 use dpr::graph::generators::toy;
+use dpr::graph::urls::fnv1a;
 use dpr::graph::WebGraph;
 use dpr::partition::Strategy;
-use dpr::sim::{FaultPlan, SchedulerKind};
+use dpr::sim::{FaultPlan, SimStats};
 
 fn run_over_network(g: &WebGraph, cfg: NetRunConfig) -> NetRunResult {
     try_run_over_network(g, cfg).expect("test configs use supported churn schedules")
@@ -27,44 +37,61 @@ fn base(t_end: f64) -> NetRunConfig {
     }
 }
 
-fn rank_bits(r: &NetRunResult) -> Vec<u64> {
-    r.final_ranks.iter().map(|x| x.to_bits()).collect()
+/// FNV-1a digest of the exact bits of the final rank vector.
+fn rank_digest(r: &NetRunResult) -> u64 {
+    let bytes: Vec<u8> = r.final_ranks.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect();
+    fnv1a(&bytes)
 }
 
-/// Runs the same config with coalescing on and off and requires the final
-/// ranks to agree to the last bit. Message/byte counters may differ (that
-/// is the point of coalescing), so they are asserted directionally, not
-/// for equality.
-fn assert_coalescing_bit_identical(g: &WebGraph, cfg: NetRunConfig) {
-    let on = run_over_network(g, NetRunConfig { coalesce: true, ..cfg.clone() });
-    let off = run_over_network(g, NetRunConfig { coalesce: false, ..cfg });
+/// What the per-part (non-coalescing) reference sent on one scenario.
+struct PerPartReference {
+    /// Digest of its final rank bits.
+    ranks: u64,
+    /// Bytes it put on the wire.
+    bytes: u64,
+    /// Data packages it sent.
+    data_messages: u64,
+}
+
+/// Runs the scenario and requires the final ranks to match the per-part
+/// reference to the last bit. Message/byte counters may differ (that is
+/// the point of coalescing), so they are asserted directionally.
+fn assert_coalescing_bit_identical(g: &WebGraph, cfg: NetRunConfig, reference: PerPartReference) {
+    let on = run_over_network(g, cfg);
     assert!(on.final_rel_err < 1e-3, "coalesced run must converge: {}", on.final_rel_err);
-    assert_eq!(rank_bits(&on), rank_bits(&off), "coalescing must be bit-neutral on final ranks");
+    assert_eq!(rank_digest(&on), reference.ranks, "coalescing must be bit-neutral on final ranks");
     assert!(on.counters.coalesced_parts > 0, "the schedule must actually exercise coalescing");
-    assert_eq!(off.counters.coalesced_parts, 0);
-    assert!(on.counters.bytes < off.counters.bytes, "coalescing must pay for itself in bytes");
-    assert!(on.counters.data_messages <= off.counters.data_messages);
+    assert!(on.counters.bytes < reference.bytes, "coalescing must pay for itself in bytes");
+    assert!(on.counters.data_messages <= reference.data_messages);
 }
 
 #[test]
 fn coalescing_bit_identical_under_reliable_delivery() {
-    assert_coalescing_bit_identical(&toy::two_cliques(6), base(300.0));
+    let reference =
+        PerPartReference { ranks: 0x0150_ab9f_ebc9_3ce9, bytes: 2_213_520, data_messages: 7_954 };
+    assert_coalescing_bit_identical(&toy::two_cliques(6), base(300.0), reference);
 }
 
 #[test]
 fn coalescing_bit_identical_under_loss() {
     // Per-hop loss consumes one RNG draw per send, and coalescing changes
-    // the send count, so the two trajectories diverge mid-run — they must
-    // still stall at the same fixed point of the (deterministic) rank map.
-    // That takes a longer horizon than the other plans: the trajectories
-    // approach the f64 fixed point from different directions and only
-    // become bit-identical once both have *exactly* stalled (t_end 500
-    // still shows ~100-ULP residue; 2000 is comfortably past stall).
+    // the send count, so the two trajectories diverged mid-run — they
+    // still stalled at the same fixed point of the (deterministic) rank
+    // map. That takes a longer horizon than the other plans: the
+    // trajectories approach the f64 fixed point from different directions
+    // and only become bit-identical once both have *exactly* stalled
+    // (t_end 500 still showed ~100-ULP residue; 2000 is comfortably past
+    // stall).
     let cfg = NetRunConfig {
         faults: Some(FaultPlan::new().with_latency(0.01).with_default_success(0.7)),
         ..base(2000.0)
     };
-    assert_coalescing_bit_identical(&toy::two_cliques(6), cfg);
+    let reference = PerPartReference {
+        ranks: 0x38ca_99b2_921a_9355,
+        bytes: 27_453_820,
+        data_messages: 103_907,
+    };
+    assert_coalescing_bit_identical(&toy::two_cliques(6), cfg, reference);
 }
 
 #[test]
@@ -73,7 +100,9 @@ fn coalescing_bit_identical_under_partition() {
         faults: Some(FaultPlan::new().with_latency(0.01).with_partition(40.0, 80.0, &[0, 1, 2, 3])),
         ..base(500.0)
     };
-    assert_coalescing_bit_identical(&toy::two_cliques(6), cfg);
+    let reference =
+        PerPartReference { ranks: 0x38ca_99b2_921a_9355, bytes: 3_905_900, data_messages: 14_175 };
+    assert_coalescing_bit_identical(&toy::two_cliques(6), cfg, reference);
 }
 
 #[test]
@@ -87,98 +116,112 @@ fn coalescing_bit_identical_under_crash_windows() {
         ),
         ..base(500.0)
     };
-    assert_coalescing_bit_identical(&toy::two_cliques(6), cfg);
+    let reference =
+        PerPartReference { ranks: 0x38ca_99b2_921a_9355, bytes: 3_702_100, data_messages: 13_264 };
+    assert_coalescing_bit_identical(&toy::two_cliques(6), cfg, reference);
 }
 
-/// The route cache is pure memoization: with churn, loss, and reliable
-/// delivery all active, switching it off must change *nothing* observable
-/// — ranks, §4.5 counters, and engine statistics all identical — while the
-/// cached run really does serve lookups from cache and flush it on churn.
-#[test]
-fn route_cache_invisible_under_churn_and_faults() {
-    let g = toy::two_cliques(6);
-    let cfg = NetRunConfig {
+/// Churn + loss + reliable delivery: the scenario both remaining tests
+/// replay.
+fn churn_and_loss() -> NetRunConfig {
+    NetRunConfig {
         departures: vec![(60.0, 3), (110.0, 9)],
         faults: Some(FaultPlan::new().with_latency(0.01).with_default_success(0.8)),
         ..base(400.0)
-    };
-    let cached = run_over_network(&g, NetRunConfig { route_cache: true, ..cfg.clone() });
-    let fresh = run_over_network(&g, NetRunConfig { route_cache: false, ..cfg });
-    assert_eq!(rank_bits(&cached), rank_bits(&fresh));
-    assert_eq!(cached.counters, fresh.counters);
-    assert_eq!(cached.per_node, fresh.per_node);
-    assert_eq!(cached.sim_stats, fresh.sim_stats);
+    }
+}
+
+/// The reference engine's rank digest and engine statistics on
+/// [`churn_and_loss`] — identical for the uncached-lookup run and the
+/// `BinaryHeap` + full-rebuild run.
+const CHURN_RANKS: u64 = 0x59ab_e33d_00b0_a594;
+const CHURN_SIM_STATS: SimStats = SimStats {
+    sends_attempted: 28_481,
+    sends_dropped: 5_631,
+    partition_dropped: 0,
+    crash_dropped: 0,
+    deliveries: 22_850,
+    wakes: 8_219,
+};
+
+/// The counters of the uncached-lookup reference on [`churn_and_loss`].
+const CHURN_COUNTERS: NetCounters = NetCounters {
+    data_messages: 15_784,
+    lookup_messages: 0,
+    bytes: 4_016_140,
+    retries: 5_582,
+    acks: 12_697,
+    duplicates_suppressed: 2_510,
+    retry_exhausted: 13,
+    coalesced_parts: 1_491,
+    payload_clones: 10_187,
+    rows_recomputed: 3_259,
+    gave_up: 21,
+    checkpoints_sent: 0,
+    checkpoint_bytes: 0,
+    takeovers_warm: 0,
+    takeovers_cold: 0,
+    delta_messages: 0,
+    delta_bytes: 0,
+    inner_sweeps: 6_279,
+    sweeps_saved: 504,
+};
+
+/// The route cache is pure memoization: with churn, loss, and reliable
+/// delivery all active, the cached run must reproduce *everything*
+/// observable of the uncached reference — ranks, §4.5 counters (also per
+/// node), and engine statistics — while it really does serve lookups
+/// from cache and flush it on churn.
+#[test]
+fn route_cache_invisible_under_churn_and_faults() {
+    let cached = run_over_network(&toy::two_cliques(6), churn_and_loss());
+    assert_eq!(rank_digest(&cached), CHURN_RANKS);
+    assert_eq!(cached.counters, CHURN_COUNTERS);
+    // Digest of the reference's `{:?}` rendering of its per-node counters.
+    let per_node = fnv1a(format!("{:?}", cached.per_node).as_bytes());
+    assert_eq!(per_node, 0x418c_9a21_6d8a_abeb, "per-node counters diverged");
+    assert_eq!(cached.sim_stats, CHURN_SIM_STATS);
     assert!(cached.final_rel_err < 1e-3, "rel err {}", cached.final_rel_err);
     assert!(cached.route_cache.hits > 0, "the cached run must actually hit");
     assert!(cached.route_cache.invalidations >= 2, "each departure must flush the cache");
-    assert_eq!(fresh.route_cache.hits, 0);
     assert_eq!(
         cached.route_cache.hits + cached.route_cache.misses,
-        fresh.route_cache.misses,
-        "both modes must observe the same lookup stream"
+        16_640,
+        "the cached run must observe the reference's lookup stream"
     );
 }
 
 /// The slab scheduler and the dirty-row external-contribution cache are
 /// pure performance work: on the same churn + loss + reliable-delivery
-/// scenario, every combination of {slab, heap} × {cached, full-rebuild}
-/// must produce bit-identical ranks, engine statistics, and network
-/// counters — while the cached runs really do skip most row recomputation.
+/// scenario they must reproduce the legacy `BinaryHeap` + full-rebuild
+/// engine's ranks, engine statistics, and network counters — while
+/// really skipping most row recomputation.
 #[test]
 fn scheduler_and_ext_cache_invisible_under_churn_and_faults() {
-    let g = toy::two_cliques(6);
-    let cfg = NetRunConfig {
-        departures: vec![(60.0, 3), (110.0, 9)],
-        faults: Some(FaultPlan::new().with_latency(0.01).with_default_success(0.8)),
-        ..base(400.0)
-    };
-    let reference = run_over_network(
-        &g,
-        NetRunConfig { scheduler: SchedulerKind::BinaryHeap, ext_cache: false, ..cfg.clone() },
+    let run = run_over_network(&toy::two_cliques(6), churn_and_loss());
+    assert_eq!(rank_digest(&run), CHURN_RANKS, "ranks diverged from the legacy engine");
+    assert_eq!(run.sim_stats, CHURN_SIM_STATS);
+    // What the legacy engine did: every row of every refresh, and a
+    // verification sweep in every window (it had no stall short-circuit).
+    let (legacy_rows, legacy_sweeps) = (3_507, 6_783);
+    // Every counter except the work-observability ones must match the
+    // legacy engine exactly. Rows recomputed and inner sweeps measure the
+    // work the cache *saves*, so they legitimately differ.
+    let traffic =
+        |c: NetCounters| NetCounters { rows_recomputed: 0, inner_sweeps: 0, sweeps_saved: 0, ..c };
+    assert_eq!(traffic(run.counters), traffic(CHURN_COUNTERS));
+    assert!(
+        run.counters.rows_recomputed < legacy_rows,
+        "dirty-row cache recomputed {} rows, full rebuild {legacy_rows}",
+        run.counters.rows_recomputed
     );
-    let mut cached_rows = None;
-    for scheduler in [SchedulerKind::Slab, SchedulerKind::BinaryHeap] {
-        for ext_cache in [true, false] {
-            let run = run_over_network(&g, NetRunConfig { scheduler, ext_cache, ..cfg.clone() });
-            assert_eq!(
-                rank_bits(&run),
-                rank_bits(&reference),
-                "ranks diverged under {scheduler:?}/ext_cache={ext_cache}"
-            );
-            assert_eq!(run.sim_stats, reference.sim_stats);
-            // Every counter except the work-observability ones must match
-            // the legacy engine exactly. Rows recomputed and inner sweeps
-            // measure the work the cache *saves* (the stall short-circuit
-            // only exists on the cached path), so they legitimately differ
-            // between ext_cache modes while ranks and traffic do not.
-            let mut c = run.counters;
-            c.rows_recomputed = reference.counters.rows_recomputed;
-            c.inner_sweeps = reference.counters.inner_sweeps;
-            c.sweeps_saved = reference.counters.sweeps_saved;
-            assert_eq!(c, reference.counters);
-            if ext_cache {
-                assert!(
-                    run.counters.rows_recomputed < reference.counters.rows_recomputed,
-                    "dirty-row cache recomputed {} rows, full rebuild {}",
-                    run.counters.rows_recomputed,
-                    reference.counters.rows_recomputed
-                );
-                assert!(
-                    run.counters.inner_sweeps < reference.counters.inner_sweeps,
-                    "stall short-circuit ran {} sweeps, full rebuild {}",
-                    run.counters.inner_sweeps,
-                    reference.counters.inner_sweeps
-                );
-                assert!(run.counters.sweeps_saved > 0, "cached run must skip stalled windows");
-                cached_rows.get_or_insert(run.counters.rows_recomputed);
-                assert_eq!(cached_rows, Some(run.counters.rows_recomputed));
-            } else {
-                assert_eq!(run.counters.inner_sweeps, reference.counters.inner_sweeps);
-                assert_eq!(run.counters.sweeps_saved, 0);
-            }
-        }
-    }
-    assert!(reference.final_rel_err < 1e-3);
+    assert!(
+        run.counters.inner_sweeps < legacy_sweeps,
+        "stall short-circuit ran {} sweeps, full rebuild {legacy_sweeps}",
+        run.counters.inner_sweeps
+    );
+    assert!(run.counters.sweeps_saved > 0, "cached run must skip stalled windows");
+    assert!(run.final_rel_err < 1e-3);
 }
 
 /// Fire-and-forget packages must move through the receive path without a
