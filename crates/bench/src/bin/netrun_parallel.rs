@@ -9,8 +9,10 @@
 //! recorded speedup is a speedup of the same computation, not of a
 //! divergent one. Rows record events/sec, the engine-time speedup over
 //! sequential, and the batch counters (`batches`, `max_batch`,
-//! `singleton_batches`) that show how much same-window parallelism the
-//! workload actually exposes.
+//! `singleton_batches`, `fanned_out_batches`) that show how much
+//! same-window parallelism the workload actually exposes and how much of
+//! it reached the pool. `--quick` also checks, as a count, that the run's
+//! converged second half fans out fewer batches than it extracts.
 //!
 //! `host_threads` is recorded next to the timings: on a 1-core host every
 //! pool degenerates to sequential execution, so speedup ≈ 1× **by
@@ -52,6 +54,9 @@ struct WorkerRow {
     batches: u64,
     max_batch: usize,
     singleton_batches: u64,
+    /// Batches whose thinks went to the pool (at least two thinks with
+    /// work); the rest thought inline.
+    fanned_out_batches: u64,
     /// Deliveries committed through a held batch instead of breaking
     /// extraction (the amortized-scan engine; 0 when sequential).
     held_deliveries: u64,
@@ -170,6 +175,7 @@ fn main() {
                 batches: res.sched_stats.batches,
                 max_batch: res.sched_stats.max_batch,
                 singleton_batches: res.sched_stats.singleton_batches,
+                fanned_out_batches: res.sched_stats.fanned_out_batches,
                 held_deliveries: res.sched_stats.held_deliveries,
                 wakes: res.sim_stats.wakes,
                 deliveries: res.sim_stats.deliveries,
@@ -178,34 +184,55 @@ fn main() {
             };
             eprintln!(
                 "[netrun_parallel] {pages} pages, {w} workers: {:.3}s engine, \
-                 {:.0} events/s, {:.2}x vs sequential, {} batches (max {})",
+                 {:.0} events/s, {:.2}x vs sequential, {} batches (max {}, {} fanned out)",
                 row.engine_secs,
                 row.events_per_sec,
                 row.speedup_vs_sequential,
                 row.batches,
-                row.max_batch
+                row.max_batch,
+                row.fanned_out_batches
             );
             if w > 1 {
                 assert!(row.batches > 0, "parallel engine never batched at {pages} pages");
                 assert!(row.max_batch >= 2, "no same-window parallelism at {pages} pages");
+            }
+            if quick && w > 1 {
+                // The converged half: the run to `t_end / 2` is an exact
+                // prefix of this one (same sample slices), so the counter
+                // differences are what the second half extracted and
+                // fanned out. Once groups stall, thinks have no work and
+                // batches think inline.
+                let half = NetRunConfig { engine_workers: w, t_end: t_end / 2.0, ..base.clone() };
+                let (half, _) = timed_run(&g, half);
+                let tail_batches = row.batches - half.sched_stats.batches;
+                let tail_fanned = row.fanned_out_batches - half.sched_stats.fanned_out_batches;
+                eprintln!(
+                    "[netrun_parallel] {pages} pages, {w} workers, converged half: \
+                     {tail_fanned} of {tail_batches} batches fanned out"
+                );
+                assert!(
+                    tail_fanned < tail_batches,
+                    "the converged half fanned out {tail_fanned} of {tail_batches} batches"
+                );
             }
             grid.push(row);
         }
     }
 
     println!(
-        "{:>9}  {:>7}  {:>9}  {:>12}  {:>8}  {:>10}  {:>9}",
-        "pages", "workers", "engine(s)", "events/s", "speedup", "batches", "max batch"
+        "{:>9}  {:>7}  {:>9}  {:>12}  {:>8}  {:>10}  {:>10}  {:>9}",
+        "pages", "workers", "engine(s)", "events/s", "speedup", "batches", "fanned", "max batch"
     );
     for r in &grid {
         println!(
-            "{:>9}  {:>7}  {:>9.3}  {:>12.0}  {:>7.2}x  {:>10}  {:>9}",
+            "{:>9}  {:>7}  {:>9.3}  {:>12.0}  {:>7.2}x  {:>10}  {:>10}  {:>9}",
             r.pages,
             r.workers,
             r.engine_secs,
             r.events_per_sec,
             r.speedup_vs_sequential,
             r.batches,
+            r.fanned_out_batches,
             r.max_batch
         );
     }

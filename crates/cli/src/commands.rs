@@ -429,11 +429,14 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
     }
     if res.counters.checkpoints_sent > 0 || res.counters.takeovers_cold > 0 {
         println!(
-            "replication: {} checkpoints ({:.1} MB), {} warm takeovers, {} cold takeovers",
+            "replication: {} checkpoints ({:.1} MB), {} warm takeovers, {} cold takeovers, \
+             {} replica-set lookups ({} cached)",
             res.counters.checkpoints_sent,
             res.counters.checkpoint_bytes as f64 / 1e6,
             res.counters.takeovers_warm,
-            res.counters.takeovers_cold
+            res.counters.takeovers_cold,
+            res.route_cache.replica_hits + res.route_cache.replica_misses,
+            res.route_cache.replica_hits
         );
     }
     let s = res.sim_stats;
@@ -444,8 +447,8 @@ fn simulate_net(args: &Args, g: &WebGraph, variant: DprVariant) -> CmdResult {
     if engine_workers > 1 {
         let b = res.sched_stats;
         println!(
-            "parallel engine: {engine_workers} workers, {} batches (max {} wakes, {} singleton)",
-            b.batches, b.max_batch, b.singleton_batches
+            "parallel engine: {engine_workers} workers, {} batches (max {} wakes, {} singleton, {} fanned out)",
+            b.batches, b.max_batch, b.singleton_batches, b.fanned_out_batches
         );
     }
     println!(

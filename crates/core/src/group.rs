@@ -680,8 +680,21 @@ impl AfferentState {
         // would all reproduce the exact same bits. Converged senders keep
         // publishing (the wire protocol never goes quiet), so this is the
         // hot path once ranks stall.
-        if let Some(old) = self.received.get(&src) {
+        if let Some(old) = self.received.get_mut(&src) {
             if Self::entries_bits_equal(old, &entries) {
+                return;
+            }
+            // Same rows, new values — the common case, since a source's
+            // page set into this group only changes at a crawl delta.
+            // Overwrite the index entries in place; the rows still all go
+            // stale, exactly as under retract-and-insert.
+            if old.len() == entries.len() && old.iter().zip(&entries).all(|(a, b)| a.0 == b.0) {
+                self.dirty = true;
+                for &(li, s) in &entries {
+                    Self::index_row(&mut self.rows[li as usize], src, s);
+                    Self::mark_row(&mut self.row_dirty, &mut self.dirty_rows, li);
+                }
+                *old = entries;
                 return;
             }
         }
@@ -773,6 +786,13 @@ impl AfferentState {
         }
         self.dirty_rows.clear();
         self.dirty = false;
+    }
+
+    /// Whether some row of `X` is stale, i.e. the next refresh would
+    /// recompute at least one row.
+    #[must_use]
+    pub fn has_stale_rows(&self) -> bool {
+        !self.dirty_rows.is_empty()
     }
 
     /// The current `X` without refreshing (test/inspection use).

@@ -650,12 +650,11 @@ struct GroupState {
     /// until a solve changes `r`. Entries are behind
     /// `Arc`s so publication is a pointer bump, not a payload copy.
     y_cache: Option<YCache>,
-    /// Last accepted raw `Y` payload per source, as `(page, rank bits)` —
-    /// the receive-path twin of the sender's `y_cache`. A re-publication
-    /// that bit-matches it is dropped before any page→local translation;
-    /// the localized comparison in [`AfferentState::bits_match`] remains as
-    /// the slow-path check when the raw bytes differ.
-    last_payload: BTreeMap<GroupId, Vec<(PageId, u64)>>,
+    /// Last accepted raw `Y` payload per source: the sender's own `Arc`,
+    /// the receive-path twin of its `y_cache`. A converged sender
+    /// re-publishes that same allocation, so the common re-publication is
+    /// recognized by pointer identity alone.
+    last_payload: BTreeMap<GroupId, Arc<Vec<(PageId, f64)>>>,
     outer_iterations: u64,
     /// Inner-solver sweeps this group ran (see
     /// [`NetCounters::inner_sweeps`]; collected per node at run end).
@@ -812,34 +811,30 @@ impl NetNode {
         if let Some(gs) = self.groups.iter_mut().find(|g| g.ctx.group_id() == part.dest_group) {
             // Steady-state receive path: once the sender's ranks stall its
             // re-publications are bit-identical and `set` would discard the
-            // payload unread. Cheapest check first — the raw `(page, bits)`
-            // copy of the last accepted payload, a flat scan with no
-            // page→local translation at all.
-            if let Some(prev) = gs.last_payload.get(&part.src_group) {
+            // payload unread. Cheapest check first — the very allocation
+            // accepted last time (sound: the held `Arc` keeps it from being
+            // freed and reused), then a raw `(page, bits)` scan with no
+            // page→local translation, which adopts the new `Arc` so the
+            // next re-publication hits by pointer.
+            if let Some(prev) = gs.last_payload.get_mut(&part.src_group) {
+                if Arc::ptr_eq(prev, &part.entries) {
+                    return;
+                }
                 if prev.len() == part.entries.len()
                     && prev
                         .iter()
                         .zip(part.entries.iter())
-                        .all(|(&(pp, pb), &(p, s))| pp == p && pb == s.to_bits())
+                        .all(|(&(pp, ps), &(p, s))| pp == p && ps.to_bits() == s.to_bits())
                 {
+                    *prev = Arc::clone(&part.entries);
                     return;
                 }
             }
-            // Raw bytes differ; the *localized* payload may still match
-            // (e.g. the delta is confined to pages this group no longer
-            // owns). Compare lazily before paying the allocation.
-            let lazily_localized = part
-                .entries
-                .iter()
-                .filter_map(|&(p, s)| gs.ctx.local_index(p).map(|i| (i as u32, s)));
-            if !gs.afferent.bits_match(part.src_group, lazily_localized) {
-                let localized = gs.ctx.localize(&part.entries);
-                gs.afferent.set(part.src_group, localized);
-            }
-            gs.last_payload.insert(
-                part.src_group,
-                part.entries.iter().map(|&(p, s)| (p, s.to_bits())).collect(),
-            );
+            // Raw bytes differ: localize once. `set` still drops a payload
+            // whose *localized* form matches (e.g. the change is confined
+            // to pages this group no longer owns).
+            gs.afferent.set(part.src_group, gs.ctx.localize(&part.entries));
+            gs.last_payload.insert(part.src_group, Arc::clone(&part.entries));
         }
         // A part for a group we do not host is stale traffic after a
         // membership change; §4.2 lets nodes drop it silently.
@@ -1261,6 +1256,19 @@ impl Actor for NetNode {
         if self.active {
             self.run_group_thinks();
         }
+    }
+
+    fn has_think_work(&self) -> bool {
+        // A group at the stall short-circuit (no stale `X` row, last solve
+        // exactly at its fixed point, `Y` memoized) only bumps counters
+        // and re-queues its memoized parts: not worth a pool hand-off.
+        self.active
+            && self.groups.iter().any(|gs| {
+                gs.ctx.n_local() > 0
+                    && (gs.afferent.has_stale_rows()
+                        || gs.last_delta != 0.0
+                        || gs.y_cache.is_none())
+            })
     }
 
     fn on_wake(&mut self, ctx: &mut Ctx<'_, NetMsg>) {
@@ -2087,14 +2095,8 @@ fn apply_delta(
             // do under the new context (sources cut off by this delta are
             // retracted below).
             for (&src, payload) in &old.last_payload {
-                let localized: Vec<(u32, f64)> = payload
-                    .iter()
-                    .filter_map(|&(p, bits)| {
-                        gs.ctx.local_index(p).map(|i| (i as u32, f64::from_bits(bits)))
-                    })
-                    .collect();
-                gs.afferent.set(src, localized);
-                gs.last_payload.insert(src, payload.clone());
+                gs.afferent.set(src, gs.ctx.localize(payload));
+                gs.last_payload.insert(src, Arc::clone(payload));
             }
             gs.outer_iterations = old.outer_iterations;
         }

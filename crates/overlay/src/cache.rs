@@ -18,23 +18,32 @@
 //! path.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use crate::{NodeIndex, Overlay};
 
-/// Hit/miss/invalidation counters for a [`RouteCache`].
+/// Hit/miss/invalidation counters for a [`RouteCache`]. Route lookups
+/// (`next_hop`, `route`, `route_hops`) and replica-set lookups
+/// (`replicas`) are counted apart, so the route hit rate means the same
+/// thing with replication on or off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteCacheStats {
-    /// Lookups answered from the cache.
+    /// Route lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to walk the overlay.
+    /// Route lookups that had to walk the overlay.
     pub misses: u64,
+    /// Replica-set lookups answered from the cache.
+    pub replica_hits: u64,
+    /// Replica-set lookups that had to ask the overlay.
+    pub replica_misses: u64,
     /// Number of times a generation change flushed the cache.
     pub invalidations: u64,
 }
 
 impl RouteCacheStats {
-    /// Fraction of lookups answered from the cache (0 when no lookups).
+    /// Fraction of route lookups answered from the cache (0 when no
+    /// lookups).
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -52,10 +61,45 @@ impl RouteCacheStats {
         Self {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
+            replica_hits: self.replica_hits - earlier.replica_hits,
+            replica_misses: self.replica_misses - earlier.replica_misses,
             invalidations: self.invalidations - earlier.invalidations,
         }
     }
 }
+
+/// Multiply-rotate hasher for the cache's integer keys. DHT keys are
+/// already uniformly spread hashes, so SipHash's flooding resistance buys
+/// nothing here; a per-word multiply is enough to spread node indices and
+/// key halves over the table.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Unused by the cache's keys, which hash through the typed writes.
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_u128(&mut self, word: u128) {
+        self.write_u64(word as u64);
+        self.write_u64((word >> 64) as u64);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// Generation-checked memo of `next_hop` and `route` lookups.
 ///
@@ -68,9 +112,9 @@ pub struct RouteCache {
     /// Generation the entries were computed at; entries are flushed when
     /// the overlay reports a different one.
     generation: u64,
-    next_hops: HashMap<(NodeIndex, u128), Option<NodeIndex>>,
-    routes: HashMap<(NodeIndex, u128), Arc<[NodeIndex]>>,
-    replica_sets: HashMap<(u128, usize), Arc<[NodeIndex]>>,
+    next_hops: KeyMap<(NodeIndex, u128), Option<NodeIndex>>,
+    routes: KeyMap<(NodeIndex, u128), Arc<[NodeIndex]>>,
+    replica_sets: KeyMap<(u128, usize), Arc<[NodeIndex]>>,
     stats: RouteCacheStats,
 }
 
@@ -127,8 +171,14 @@ impl RouteCache {
     }
 
     /// Hop count of the memoized route — the `h` that §4.5 charges per
-    /// direct-transmission lookup.
+    /// direct-transmission lookup. A hit reads the length in place, without
+    /// handing out the shared path.
     pub fn route_hops(&mut self, net: &dyn Overlay, src: NodeIndex, key: u128) -> usize {
+        self.sync(net);
+        if let Some(path) = self.routes.get(&(src, key)) {
+            self.stats.hits += 1;
+            return path.len();
+        }
         self.route(net, src, key).len()
     }
 
@@ -139,10 +189,10 @@ impl RouteCache {
     pub fn replicas(&mut self, net: &dyn Overlay, key: u128, k: usize) -> Arc<[NodeIndex]> {
         self.sync(net);
         if let Some(set) = self.replica_sets.get(&(key, k)) {
-            self.stats.hits += 1;
+            self.stats.replica_hits += 1;
             return Arc::clone(set);
         }
-        self.stats.misses += 1;
+        self.stats.replica_misses += 1;
         let set: Arc<[NodeIndex]> = net.replicas(key, k).into();
         self.replica_sets.insert((key, k), Arc::clone(&set));
         set
@@ -231,11 +281,12 @@ mod tests {
     fn cache_matches_direct_overlay_across_a_join_and_a_departure() {
         // Every memoized answer — next hop, full route, hop count, replica
         // set — must equal the overlay's own, before and after each
-        // membership change, and every lookup is counted exactly once.
+        // membership change, and every lookup is counted exactly once, on
+        // its own side of the route/replica split.
         let mut net = PastryNetwork::with_nodes(24, 31);
         let mut cache = RouteCache::new();
         let keys: Vec<u128> = (0..12u64).map(key_from_u64).collect();
-        let mut lookups = 0u64;
+        let (mut lookups, mut replica_lookups) = (0u64, 0u64);
         let mut check = |cache: &mut RouteCache, net: &PastryNetwork| {
             let srcs: Vec<NodeIndex> = (0..net.n_nodes()).filter(|&h| net.is_alive(h)).collect();
             // Two passes: the first fills the cache, the second must hit.
@@ -248,10 +299,12 @@ mod tests {
                         lookups += 3;
                     }
                     assert_eq!(cache.replicas(net, key, 3).as_ref(), net.replicas(key, 3));
-                    lookups += 1;
+                    replica_lookups += 1;
                 }
             }
-            assert_eq!(cache.stats().hits + cache.stats().misses, lookups);
+            let s = cache.stats();
+            assert_eq!(s.hits + s.misses, lookups);
+            assert_eq!(s.replica_hits + s.replica_misses, replica_lookups);
         };
         check(&mut cache, &net);
         let hits_before_churn = cache.stats().hits;
@@ -273,7 +326,7 @@ mod tests {
         assert_eq!(first.as_ref(), net.replicas(key, 2).as_slice());
         let again = cache.replicas(&net, key, 2);
         assert!(Arc::ptr_eq(&first, &again), "repeat lookups share the allocation");
-        assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.stats().replica_hits, 1);
         // Churn must invalidate: the promoted heir leaves the set.
         net.depart(net.responsible(key));
         let fresh = cache.replicas(&net, key, 2);
@@ -292,7 +345,43 @@ mod tests {
         cache.next_hop(&net, 0, key); // hit
         cache.next_hop(&net, 0, key); // hit
         let window = cache.stats().delta(&snapshot);
-        assert_eq!(window, RouteCacheStats { hits: 2, misses: 0, invalidations: 0 });
+        assert_eq!(
+            window,
+            RouteCacheStats {
+                hits: 2,
+                misses: 0,
+                replica_hits: 0,
+                replica_misses: 0,
+                invalidations: 0
+            }
+        );
         assert_eq!(window.hit_rate(), 1.0);
+    }
+
+    #[test]
+    fn replica_lookups_stay_out_of_the_route_counters() {
+        // With replication on, every checkpoint round asks for replica
+        // sets; those lookups must not inflate the route hit/miss counts
+        // that the route hit rate (and a replay of the route stream) reads.
+        let net = ChordNetwork::with_nodes(32, 8);
+        let mut cache = RouteCache::new();
+        let (mut routes, mut replica_sets) = (0u64, 0u64);
+        for round in 0..3u64 {
+            for k in 0..10u64 {
+                let key = key_from_u64(k);
+                let src = (k * 7 + round) as usize % 32;
+                cache.next_hop(&net, src, key);
+                cache.route(&net, src, key);
+                cache.route_hops(&net, src, key);
+                routes += 3;
+                cache.replicas(&net, key, 2);
+                replica_sets += 1;
+            }
+        }
+        let s = cache.stats();
+        assert_eq!(s.hits + s.misses, routes);
+        assert_eq!(s.replica_hits + s.replica_misses, replica_sets);
+        assert_eq!(s.replica_misses, 10, "one miss per distinct (key, k)");
+        assert!(s.hit_rate() > 0.0 && s.hit_rate() < 1.0);
     }
 }

@@ -73,6 +73,17 @@ pub trait Actor {
     /// `on_wake`, which forfeits engine parallelism but stays correct).
     fn think(&mut self, _now: f64) {}
 
+    /// Whether the next [`Actor::think`] has real work to do. The batched
+    /// engine fans a batch out over the pool only when at least two of its
+    /// wakes answer `true`; otherwise it runs the thinks inline, which
+    /// skips the broadcast and hand-off a batch of near-no-op thinks would
+    /// pay. A hint, never a contract: `think` still runs before every
+    /// `on_wake` either way, so a wrong answer costs time, not results.
+    /// Default: `true`.
+    fn has_think_work(&self) -> bool {
+        true
+    }
+
     /// Called when a previously scheduled wake fires.
     fn on_wake(&mut self, ctx: &mut Ctx<'_, Self::Msg>);
 
@@ -249,6 +260,7 @@ pub struct Simulation<A: Actor> {
     batches: u64,
     max_batch: usize,
     singleton_batches: u64,
+    fanned_out_batches: u64,
     held_deliveries: u64,
 }
 
@@ -282,6 +294,7 @@ impl<A: Actor> Simulation<A> {
             batches: 0,
             max_batch: 0,
             singleton_batches: 0,
+            fanned_out_batches: 0,
             held_deliveries: 0,
         }
     }
@@ -327,6 +340,7 @@ impl<A: Actor> Simulation<A> {
         stats.batches = self.batches;
         stats.max_batch = self.max_batch;
         stats.singleton_batches = self.singleton_batches;
+        stats.fanned_out_batches = self.fanned_out_batches;
         stats.held_deliveries = self.held_deliveries;
         stats
     }
@@ -401,8 +415,9 @@ impl<A: Actor> Simulation<A> {
     /// stage: the contiguous head of the event queue inside the safe
     /// lookahead window `[t0, t0 + plan.min_send_latency()]` — wakes *and*
     /// message deliveries — is extracted in one scan, the wakes'
-    /// [`Actor::think`] slices run concurrently on `pool`, and every held
-    /// event then commits in canonical `(time, seq)` order.
+    /// [`Actor::think`] slices run concurrently on `pool` (or inline, when
+    /// fewer than two of them report [`Actor::has_think_work`]), and every
+    /// held event then commits in canonical `(time, seq)` order.
     ///
     /// Holding deliveries instead of stopping at them amortizes the
     /// lookahead scan across consecutive windows: a delivery sitting
@@ -485,12 +500,15 @@ impl<A: Actor> Simulation<A> {
             }
             if self.batch.len() == 1 {
                 self.singleton_batches += 1;
-                let (t, _seq, actor) = self.batch[0];
-                self.actors[actor].think(t);
-            } else if self.batch.len() > 1 {
-                // Think phase: fan the batch out over the pool. Distinct
-                // actor indices make the concurrent `&mut` carve-outs
-                // disjoint.
+            }
+            // Think phase. Fan the batch out over the pool only when at
+            // least two thinks have work; otherwise run them inline in
+            // batch order (thinks are order-independent, so either way is
+            // unobservable). Distinct actor indices make the concurrent
+            // `&mut` carve-outs disjoint.
+            let busy = self.batch.iter().filter(|&&(_, _, a)| self.actors[a].has_think_work());
+            if busy.take(2).count() == 2 {
+                self.fanned_out_batches += 1;
                 let batch = &self.batch;
                 let shared = SharedSlice::new(&mut self.actors);
                 pool.for_each_chunk(batch.len(), |i| {
@@ -499,6 +517,10 @@ impl<A: Actor> Simulation<A> {
                     let a = &mut unsafe { shared.slice_mut(actor, 1) }[0];
                     a.think(t);
                 });
+            } else {
+                for &(t, _seq, actor) in &self.batch {
+                    self.actors[actor].think(t);
+                }
             }
             // Commit phase: replay held events in (time, seq) order,
             // stepping any interloper event that sorts before the next

@@ -41,6 +41,10 @@ pub struct SchedStats {
     pub max_batch: usize,
     /// Batches that contained exactly one wake (no parallelism exposed).
     pub singleton_batches: u64,
+    /// Batches whose thinks were handed to the pool: those with at least
+    /// two wakes whose actor reported [`crate::Actor::has_think_work`].
+    /// The rest ran their thinks inline.
+    pub fanned_out_batches: u64,
     /// Message deliveries committed through a held batch instead of
     /// breaking extraction (the lookahead-amortization win: before held
     /// deliveries existed, every one of these ended a batch early).

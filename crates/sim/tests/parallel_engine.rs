@@ -17,6 +17,7 @@ use rand::Rng;
 /// `think_armed` flag pins the engine contract that `think` runs exactly
 /// once immediately before every `on_wake`.
 struct Cruncher {
+    id: usize,
     n: usize,
     rounds: u32,
     acc: f64,
@@ -25,22 +26,35 @@ struct Cruncher {
     /// Deterministically schedule a zero-delay follow-up wake on some
     /// rounds — an "interloper" that lands inside a later batch window.
     zero_delay_every: u32,
+    /// When set, only some thinks have work (see `has_think_work`); the
+    /// rest skip the float iteration, like a converged ranker's.
+    lazy: bool,
     log: Vec<(usize, u64)>,
 }
 
 impl Cruncher {
     fn fleet(n: usize, rounds: u32, zero_delay_every: u32) -> Vec<Self> {
         (0..n)
-            .map(|_| Cruncher {
+            .map(|id| Cruncher {
+                id,
                 n,
                 rounds,
                 acc: 0.5,
                 think_armed: false,
                 thinks: 0,
                 zero_delay_every,
+                lazy: false,
                 log: vec![],
             })
             .collect()
+    }
+
+    /// A fleet where about a third of the thinks have work, so some
+    /// multi-wake batches hold fewer than two busy thinks.
+    fn lazy_fleet(n: usize, rounds: u32) -> Vec<Self> {
+        let mut fleet = Self::fleet(n, rounds, 0);
+        fleet.iter_mut().for_each(|c| c.lazy = true);
+        fleet
     }
 }
 
@@ -54,13 +68,19 @@ impl Actor for Cruncher {
 
     fn think(&mut self, now: f64) {
         assert!(!self.think_armed, "think ran twice before one on_wake");
-        let mut x = self.acc + now.fract();
-        for _ in 0..32 {
-            x = (x.mul_add(0.85, 0.15)).sqrt();
+        if self.has_think_work() {
+            let mut x = self.acc + now.fract();
+            for _ in 0..32 {
+                x = (x.mul_add(0.85, 0.15)).sqrt();
+            }
+            self.acc = x;
         }
-        self.acc = x;
         self.think_armed = true;
         self.thinks += 1;
+    }
+
+    fn has_think_work(&self) -> bool {
+        !self.lazy || (self.id as u64 + self.thinks).is_multiple_of(3)
     }
 
     fn on_wake(&mut self, ctx: &mut Ctx<'_, u64>) {
@@ -152,6 +172,33 @@ fn batching_actually_extracts_multi_wake_batches() {
     let mut seq = Simulation::with_plan(Cruncher::fleet(16, 12, 0), 42, lossy_plan());
     seq.run_until(50.0);
     assert_eq!(seq.sched_stats().batches, 0);
+}
+
+#[test]
+fn fan_out_gate_is_bit_invisible_and_skips_idle_batches() {
+    // Only batches with at least two busy thinks go to the pool; the rest
+    // think inline. Either way the run must replay the sequential engine.
+    let run = |workers: Option<usize>| {
+        let mut sim = Simulation::with_plan(Cruncher::lazy_fleet(16, 12), 42, lossy_plan());
+        match workers {
+            None => sim.run_until(50.0),
+            Some(w) => sim.run_until_pooled(50.0, &Pool::with_workers(w)),
+        }
+        let sched = sim.sched_stats();
+        (fingerprint(sim), sched)
+    };
+    let (reference, _) = run(None);
+    for workers in [1, 2, 4] {
+        let (got, sched) = run(Some(workers));
+        assert_eq!(got, reference, "divergence at {workers} workers");
+        assert!(sched.fanned_out_batches > 0, "no batch had two busy thinks");
+        assert!(
+            sched.fanned_out_batches < sched.batches - sched.singleton_batches,
+            "some multi-wake batch must have run inline ({} of {} fanned out)",
+            sched.fanned_out_batches,
+            sched.batches
+        );
+    }
 }
 
 #[test]

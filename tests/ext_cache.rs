@@ -65,8 +65,158 @@ impl FullRebuild {
     }
 }
 
+/// The pre-in-place `AfferentState::set`: every accepted payload retracts
+/// the source's old index entries and re-inserts the new ones, marking each
+/// touched row stale. `AfferentState` overwrites index values in place when
+/// the row set is unchanged; both must agree on `X`, work and snapshot.
+struct RetractInsert {
+    received: BTreeMap<u32, Vec<(u32, f64)>>,
+    rows: Vec<Vec<(u32, f64)>>,
+    stale: Vec<u32>,
+    x: Vec<f64>,
+    rows_recomputed: u64,
+}
+
+impl RetractInsert {
+    fn new(n: usize) -> Self {
+        Self {
+            received: BTreeMap::new(),
+            rows: vec![Vec::new(); n],
+            stale: Vec::new(),
+            x: vec![0.0; n],
+            rows_recomputed: 0,
+        }
+    }
+
+    fn mark(&mut self, li: u32) {
+        if !self.stale.contains(&li) {
+            self.stale.push(li);
+        }
+    }
+
+    fn set(&mut self, src: u32, entries: Vec<(u32, f64)>) {
+        if let Some(old) = self.received.get(&src) {
+            if bits_of(old) == bits_of(&entries) {
+                return;
+            }
+        }
+        if let Some(old) = self.received.insert(src, entries.clone()) {
+            for (li, _) in old {
+                self.rows[li as usize].retain(|&(g, _)| g != src);
+                self.mark(li);
+            }
+        }
+        for (li, s) in entries {
+            let row = &mut self.rows[li as usize];
+            let pos = row.partition_point(|&(g, _)| g < src);
+            row.insert(pos, (src, s));
+            self.mark(li);
+        }
+    }
+
+    fn retract(&mut self, src: u32) -> bool {
+        if !self.received.contains_key(&src) {
+            return false;
+        }
+        self.set(src, Vec::new());
+        self.received.remove(&src);
+        true
+    }
+
+    fn refresh(&mut self) -> &[f64] {
+        for li in self.stale.drain(..) {
+            self.x[li as usize] = self.rows[li as usize].iter().fold(0.0, |acc, &(_, s)| acc + s);
+            self.rows_recomputed += 1;
+        }
+        &self.x
+    }
+}
+
+fn bits_of(entries: &[(u32, f64)]) -> Vec<(u32, u64)> {
+    entries.iter().map(|&(li, s)| (li, s.to_bits())).collect()
+}
+
+fn snapshot_bits(snap: &[(u32, Vec<(u32, f64)>)]) -> Vec<(u32, Vec<(u32, u64)>)> {
+    snap.iter().map(|(src, e)| (*src, bits_of(e))).collect()
+}
+
+/// One payload in a random arrival sequence.
+#[derive(Debug, Clone)]
+enum Arrival {
+    /// The source's current rows with fresh values (the in-place case).
+    SameRows(Vec<f64>),
+    /// The source's current payload again, bit for bit.
+    Repeat,
+    /// A new row set (ascending unique rows below `n`).
+    NewRows(Vec<(u32, f64)>),
+    /// An empty payload.
+    Empty,
+    /// The source is cut off.
+    Retract,
+}
+
+fn arb_arrival() -> impl Strategy<Value = Arrival> {
+    // Same-row arrivals listed twice: they are the case under test.
+    let same_rows = || prop::collection::vec(-1.0f64..1.0, 40).prop_map(Arrival::SameRows);
+    prop_oneof![
+        same_rows(),
+        same_rows(),
+        Just(Arrival::Repeat),
+        prop::collection::vec((0u32..40, -1.0f64..1.0), 0..=12).prop_map(Arrival::NewRows),
+        Just(Arrival::Empty),
+        Just(Arrival::Retract),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// In-place `set` (same rows, new values) against retract-and-insert:
+    /// identical `X` bits, identical rows recomputed, identical snapshot.
+    #[test]
+    fn in_place_set_matches_retract_and_insert(
+        n in 1usize..40,
+        ops in prop::collection::vec((0u32..5, arb_arrival(), any::<bool>()), 0..80),
+    ) {
+        let mut fast = AfferentState::new(n);
+        let mut reference = RetractInsert::new(n);
+        for (src, arrival, refresh_after) in ops {
+            let current = reference.received.get(&src).cloned().unwrap_or_default();
+            let payload = match arrival {
+                Arrival::SameRows(values) => {
+                    Some(current.iter().zip(values).map(|(&(li, _), v)| (li, v)).collect())
+                }
+                Arrival::Repeat => Some(current),
+                Arrival::NewRows(mut raw) => {
+                    raw.sort_by_key(|&(li, _)| li);
+                    raw.dedup_by_key(|&mut (li, _)| li);
+                    Some(raw.into_iter().filter(|&(li, _)| (li as usize) < n).collect())
+                }
+                Arrival::Empty => Some(Vec::new()),
+                Arrival::Retract => None,
+            };
+            match payload {
+                Some(entries) => {
+                    fast.set(src, entries.clone());
+                    reference.set(src, entries);
+                }
+                None => prop_assert_eq!(fast.retract(src), reference.retract(src)),
+            }
+            if refresh_after {
+                prop_assert_eq!(bits(fast.refresh()), bits(reference.refresh()));
+                prop_assert_eq!(fast.rows_recomputed(), reference.rows_recomputed);
+            }
+        }
+        prop_assert_eq!(bits(fast.refresh()), bits(reference.refresh()));
+        prop_assert_eq!(bits(fast.x()), bits(&reference.x));
+        prop_assert_eq!(fast.rows_recomputed(), reference.rows_recomputed);
+        let reference_snapshot: Vec<(u32, Vec<(u32, f64)>)> =
+            reference.received.iter().map(|(&g, e)| (g, e.clone())).collect();
+        prop_assert_eq!(
+            snapshot_bits(&fast.snapshot_received()),
+            snapshot_bits(&reference_snapshot)
+        );
+    }
 
     /// Random op sequences, including the zero-update extreme (a refresh
     /// before anything arrived, and ops whose entry set filters to empty).

@@ -243,3 +243,24 @@ fn fire_and_forget_receive_path_never_copies_payloads() {
     let reliable = run_over_network(&g, base(300.0));
     assert!(reliable.counters.payload_clones > 0, "reliability must exercise the clone fallback");
 }
+
+/// Replica-set lookups are counted apart from route lookups. Checkpoint
+/// traffic never feeds back into the `Y` exchange on a loss-free network
+/// with an unbounded uplink, so a `replication: 2` run makes exactly the
+/// route lookups of the same run without replication — and its route
+/// counters must say so, while the replica counters carry the checkpoint
+/// rounds' lookups.
+#[test]
+fn replica_lookups_stay_out_of_the_route_hit_rate() {
+    let g = toy::two_cliques(6);
+    let plain = NetRunConfig { reliability: None, ..base(200.0) };
+    let unreplicated = run_over_network(&g, plain.clone());
+    let replicated = run_over_network(&g, NetRunConfig { replication: 2, ..plain });
+    assert_eq!(rank_digest(&replicated), rank_digest(&unreplicated));
+    assert!(replicated.counters.checkpoints_sent > 0, "replication must ship checkpoints");
+    let (r, u) = (replicated.route_cache, unreplicated.route_cache);
+    assert_eq!(r.hits + r.misses, u.hits + u.misses, "route lookups = route/next_hop calls");
+    assert_eq!((r.hits, r.misses), (u.hits, u.misses));
+    assert!(r.replica_hits > 0 && r.replica_misses > 0, "checkpoint rounds look up replicas");
+    assert_eq!(u.replica_hits + u.replica_misses, 0);
+}

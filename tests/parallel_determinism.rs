@@ -6,8 +6,8 @@
 //! netrun engine under randomized fault plans.
 
 use dpr::core::{
-    open_pagerank_with_pool, run_threaded, try_run_over_network, NetRunConfig, RankConfig,
-    Reliability, ThreadedRunConfig,
+    open_pagerank_with_pool, run_threaded, try_run_over_network, DprVariant, NetRunConfig,
+    RankConfig, Reliability, ThreadedRunConfig, Transmission,
 };
 use dpr::graph::generators::edu::{edu_domain, EduDomainConfig};
 use dpr::graph::generators::toy;
@@ -79,6 +79,54 @@ fn pool_reuse_across_solves_is_stable() {
     let first = open_pagerank_with_pool(&g, &cfg, &pool);
     let second = open_pagerank_with_pool(&g, &cfg, &pool);
     assert_bits_equal(&first.ranks, &second.ranks, "repeated solve on one pool");
+}
+
+/// The converged tail is where the think fan-out gate stops handing
+/// batches to the pool: every group sits at its stall short-circuit, so
+/// most batches think inline. Over a horizon of at least 5× the
+/// convergence time the run must still replay the sequential engine —
+/// rank bits, network counters, engine stats, route-cache stats — at
+/// every worker count.
+#[test]
+fn converged_tail_is_bit_identical_at_every_worker_count() {
+    let g =
+        edu_domain(&EduDomainConfig { n_pages: 3_000, n_sites: 12, ..EduDomainConfig::default() });
+    let t_end = 500.0;
+    let base = NetRunConfig {
+        k: 24,
+        n_nodes: 32,
+        variant: DprVariant::Dpr2,
+        transmission: Transmission::Direct,
+        strategy: Strategy::HashBySite,
+        t_end,
+        sample_every: 10.0,
+        faults: Some(FaultPlan::new().with_latency(0.01)),
+        ..NetRunConfig::default()
+    };
+    let run = |workers: usize| {
+        try_run_over_network(&g, NetRunConfig { engine_workers: workers, ..base.clone() })
+            .expect("no churn scheduled")
+    };
+    let sequential = run(1);
+    let converged = sequential.rel_err.first_time_below(1e-10).expect("the run must converge");
+    assert!(t_end >= 5.0 * converged, "horizon {t_end} is under 5x convergence at {converged}");
+    let seq_bits: Vec<u64> = sequential.final_ranks.iter().map(|x| x.to_bits()).collect();
+    for workers in [2usize, 4] {
+        let batched = run(workers);
+        let bits: Vec<u64> = batched.final_ranks.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(bits, seq_bits, "rank bits diverged at {workers} workers");
+        assert_eq!(batched.counters, sequential.counters, "{workers} workers");
+        assert_eq!(batched.sim_stats, sequential.sim_stats, "{workers} workers");
+        assert_eq!(batched.route_cache, sequential.route_cache, "{workers} workers");
+        let sched = batched.sched_stats;
+        assert!(sched.fanned_out_batches > 0, "convergence itself must fan out");
+        assert!(
+            sched.fanned_out_batches < sched.batches - sched.singleton_batches,
+            "the converged tail must think inline ({} of {} batches fanned out)",
+            sched.fanned_out_batches,
+            sched.batches
+        );
+    }
 }
 
 proptest! {
