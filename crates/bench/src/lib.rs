@@ -32,12 +32,6 @@ pub fn parse_args(args: impl Iterator<Item = String>) -> HashMap<String, String>
     out
 }
 
-/// Typed lookup with default.
-#[must_use]
-pub fn arg<T: std::str::FromStr>(args: &HashMap<String, String>, key: &str, default: T) -> T {
-    args.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
-}
-
 /// Whether a bare `--flag` was passed.
 #[must_use]
 pub fn flag(args: &HashMap<String, String>, key: &str) -> bool {
@@ -48,7 +42,8 @@ pub fn flag(args: &HashMap<String, String>, key: &str) -> bool {
 /// and bare `--flag`s, with typed lookups and the shared JSON emission
 /// path every binary used to hand-roll (`target/experiments/<name>.json`
 /// plus an optional `--out PATH` copy for the committed `BENCH_*.json`
-/// artifacts).
+/// artifacts). A value that does not parse is an error that names the
+/// flag and the value, never a silent default.
 pub struct BenchArgs {
     name: &'static str,
     args: HashMap<String, String>,
@@ -68,10 +63,22 @@ impl BenchArgs {
         Self { name, args: parse_args(args) }
     }
 
-    /// Typed `--key value` lookup with default.
+    /// Typed `--key value` lookup with default; exits the process with
+    /// [`BenchArgs::try_get`]'s message when the value does not parse.
     #[must_use]
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        arg(&self.args, key, default)
+        self.try_get(key, default).unwrap_or_else(|e| self.exit_with(&e))
+    }
+
+    /// Typed `--key value` lookup with default for an absent key.
+    ///
+    /// # Errors
+    /// When the key is present but its value does not parse as `T`.
+    pub fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+        match self.raw(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("bad value `{v}` for --{key}")),
+        }
     }
 
     /// Raw string lookup, `None` when the key is absent.
@@ -87,11 +94,36 @@ impl BenchArgs {
     }
 
     /// Comma-separated list lookup: `--key 1,2,4` parses to `[1, 2, 4]`;
-    /// `default` (same syntax) is parsed when the key is absent.
-    /// Unparsable items are skipped.
+    /// `default` (same syntax) is parsed when the key is absent. Exits the
+    /// process with [`BenchArgs::try_list`]'s message on an item that does
+    /// not parse.
     #[must_use]
     pub fn list<T: std::str::FromStr>(&self, key: &str, default: &str) -> Vec<T> {
-        self.raw(key).unwrap_or(default).split(',').filter_map(|v| v.trim().parse().ok()).collect()
+        self.try_list(key, default).unwrap_or_else(|e| self.exit_with(&e))
+    }
+
+    /// [`BenchArgs::list`] without the exit.
+    ///
+    /// # Errors
+    /// When some item does not parse as `T`.
+    pub fn try_list<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: &str,
+    ) -> Result<Vec<T>, String> {
+        let v = self.raw(key).unwrap_or(default);
+        v.split(',')
+            .map(|item| {
+                item.trim().parse().map_err(|_| format!("bad item `{item}` in `{v}` for --{key}"))
+            })
+            .collect()
+    }
+
+    /// Prints `<name>: <message>` and exits with status 1, the way the
+    /// `dpr` CLI reports a bad option.
+    fn exit_with(&self, message: &str) -> ! {
+        eprintln!("{}: {message}", self.name);
+        std::process::exit(1)
     }
 
     /// Writes `payload` to `target/experiments/<name>.json` and, when
@@ -213,11 +245,29 @@ mod tests {
     #[test]
     fn parse_key_values_and_flags() {
         let a = args_of(&["--pages", "100", "--full", "--k", "8"]);
-        assert_eq!(arg(&a, "pages", 0usize), 100);
-        assert_eq!(arg(&a, "k", 0usize), 8);
+        assert_eq!(a["pages"], "100");
+        assert_eq!(a["k"], "8");
         assert!(flag(&a, "full"));
         assert!(!flag(&a, "absent"));
-        assert_eq!(arg(&a, "missing", 7i32), 7);
+        assert!(!a.contains_key("missing"));
+    }
+
+    #[test]
+    fn bench_args_reject_malformed_values() {
+        let a = BenchArgs::from_iter(
+            "unit",
+            ["--workers", "two", "--pages", "--threads", "1,x,4"].iter().map(|s| s.to_string()),
+        );
+        assert_eq!(a.try_get("workers", 1usize).unwrap_err(), "bad value `two` for --workers");
+        // A bare flag where a value belongs is malformed too.
+        assert_eq!(a.try_get("pages", 10usize).unwrap_err(), "bad value `true` for --pages");
+        assert_eq!(a.try_get("absent", 7i32), Ok(7));
+        assert_eq!(
+            a.try_list::<usize>("threads", "8").unwrap_err(),
+            "bad item `x` in `1,x,4` for --threads"
+        );
+        assert_eq!(a.try_list::<usize>("absent", "8,16"), Ok(vec![8, 16]));
+        assert!(a.try_list::<usize>("absent", "8,,16").is_err(), "an empty item is malformed");
     }
 
     #[test]

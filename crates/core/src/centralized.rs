@@ -3,7 +3,7 @@
 
 use dpr_graph::WebGraph;
 use dpr_linalg::vec_ops;
-use dpr_linalg::{Csr, Pool, TripletMatrix};
+use dpr_linalg::{Csr, Pool};
 
 use crate::config::RankConfig;
 
@@ -26,19 +26,80 @@ pub struct PageRankOutcome {
 /// links leaves the system — that is the "open" in Open System PageRank.
 #[must_use]
 pub fn open_system_matrix(g: &WebGraph, alpha: f64) -> Csr {
+    link_matrix(g, alpha, |u| g.out_degree(u))
+}
+
+/// Algorithm 1's closed-system matrix: `A[v][u] = α / d_int(u)` over the
+/// internal links, with `d_int` the internal out-degree.
+fn closed_system_matrix(g: &WebGraph, alpha: f64) -> Csr {
+    link_matrix(g, alpha, |u| g.internal_out_degree(u))
+}
+
+/// Assembles `A[v][u] = α / degree(u)` over every internal link `u → v`
+/// with one counting sort over destination rows (the idiom
+/// `GroupContext::assemble_matrix` uses), in O(pages + links) and with no
+/// per-link buffer beyond the matrix's own arrays.
+///
+/// Sources are scattered in ascending order, so each row's columns arrive
+/// sorted and the parallel links `u → v` of a multigraph arrive adjacent.
+/// They merge into one entry whose value is the weight summed left to
+/// right, and a zero sum (`α = 0`) is dropped — exactly what
+/// `TripletMatrix::to_csr` made of the same links, so the matrix is `==`
+/// the triplet build. Merging only shrinks rows, so it compacts in place.
+fn link_matrix(g: &WebGraph, alpha: f64, degree: impl Fn(u32) -> u32) -> Csr {
     let n = g.n_pages();
-    let mut t = TripletMatrix::with_capacity(n, n, g.n_internal_links());
+    let mut row_ptr = vec![0u64; n + 1];
     for u in 0..n as u32 {
-        let d = g.out_degree(u);
-        if d == 0 {
-            continue;
-        }
-        let w = alpha / f64::from(d);
         for &v in g.out_links(u) {
-            t.push(v as usize, u as usize, w);
+            row_ptr[v as usize + 1] += 1;
         }
     }
-    t.to_csr()
+    for r in 0..n {
+        row_ptr[r + 1] += row_ptr[r];
+    }
+    let links = row_ptr[n] as usize;
+    let mut col_idx = vec![0u32; links];
+    let mut values = vec![0.0f64; links];
+    let mut cursor = row_ptr[..n].to_vec();
+    for u in 0..n as u32 {
+        let out = g.out_links(u);
+        if out.is_empty() {
+            continue;
+        }
+        // `degree(u) ≥ out.len() > 0`: never a division by zero.
+        let w = alpha / f64::from(degree(u));
+        for &v in out {
+            let slot = cursor[v as usize] as usize;
+            col_idx[slot] = u;
+            values[slot] = w;
+            cursor[v as usize] += 1;
+        }
+    }
+    let mut len = 0usize;
+    let mut lo = 0usize;
+    for r in 0..n {
+        let hi = row_ptr[r + 1] as usize;
+        let mut k = lo;
+        while k < hi {
+            let c = col_idx[k];
+            let mut v = values[k];
+            k += 1;
+            while k < hi && col_idx[k] == c {
+                v += values[k];
+                k += 1;
+            }
+            if v != 0.0 {
+                col_idx[len] = c;
+                values[len] = v;
+                len += 1;
+            }
+        }
+        row_ptr[r + 1] = len as u64;
+        lo = hi;
+    }
+    col_idx.truncate(len);
+    values.truncate(len);
+    Csr::from_raw_parts(n, n, row_ptr, col_idx, values)
 }
 
 /// **CPR** — centralized open-system PageRank: solves `R = A·R + βE` over
@@ -180,18 +241,7 @@ pub fn pagerank(g: &WebGraph, cfg: &RankConfig) -> PageRankOutcome {
     }
     // Closed-system matrix: internal links only, 1/d_int weights scaled by α
     // (the paper's formula 2.1 damping constant c).
-    let mut t = TripletMatrix::with_capacity(n, n, g.n_internal_links());
-    for u in 0..n as u32 {
-        let d = g.internal_out_degree(u);
-        if d == 0 {
-            continue;
-        }
-        let w = cfg.alpha / f64::from(d);
-        for &v in g.out_links(u) {
-            t.push(v as usize, u as usize, w);
-        }
-    }
-    let a = t.to_csr();
+    let a = closed_system_matrix(g, cfg.alpha);
 
     // E normalized to total mass 1.
     let mut e: Vec<f64> = (0..n as u32).map(|p| cfg.e.value(p)).collect();
@@ -315,6 +365,104 @@ mod tests {
         let a = open_system_matrix(&g, 0.85);
         assert!(a.one_norm() <= 0.85 + 1e-12);
         assert!(a.is_nonneg());
+    }
+
+    /// The assembly `open_system_matrix` and `pagerank` used before the
+    /// counting sort: every link pushed as a triplet, then sorted, summed
+    /// and zero-filtered by `TripletMatrix::to_csr`.
+    fn triplet_reference(g: &WebGraph, alpha: f64, degree: impl Fn(u32) -> u32) -> Csr {
+        let n = g.n_pages();
+        let mut t = dpr_linalg::TripletMatrix::with_capacity(n, n, g.n_internal_links());
+        for u in 0..n as u32 {
+            let d = degree(u);
+            if d == 0 {
+                continue;
+            }
+            let w = alpha / f64::from(d);
+            for &v in g.out_links(u) {
+                t.push(v as usize, u as usize, w);
+            }
+        }
+        t.to_csr()
+    }
+
+    /// `==` on `Csr` compares values as `f64`; the contract is bits.
+    fn entry_bits(a: &Csr) -> Vec<Vec<(usize, u64)>> {
+        (0..a.n_rows()).map(|r| a.row(r).map(|(c, v)| (c, v.to_bits())).collect()).collect()
+    }
+
+    /// Both CPR matrices, direct and through the triplet reference.
+    fn assemblies(g: &WebGraph, alpha: f64) -> [(Csr, Csr); 2] {
+        [
+            (open_system_matrix(g, alpha), triplet_reference(g, alpha, |u| g.out_degree(u))),
+            (
+                closed_system_matrix(g, alpha),
+                triplet_reference(g, alpha, |u| g.internal_out_degree(u)),
+            ),
+        ]
+    }
+
+    #[test]
+    fn direct_assembly_merges_parallel_links_and_drops_zeros() {
+        // p0 → p1 twice (one merged entry), p1 → p1 and p1 → p2, p2
+        // external-only, p3 dangling.
+        let mut b = dpr_graph::GraphBuilder::new();
+        let s = b.add_site("a.edu");
+        let p: Vec<u32> = (0..4).map(|_| b.add_page(s)).collect();
+        b.add_link(p[0], p[1]);
+        b.add_link(p[0], p[1]);
+        b.add_link(p[1], p[1]);
+        b.add_link(p[1], p[2]);
+        b.add_external_links(p[0], 1);
+        b.add_external_links(p[2], 3);
+        let g = b.build();
+        for (direct, reference) in assemblies(&g, 0.85) {
+            assert_eq!(direct.nnz(), 3, "4 links, one parallel pair");
+            assert_eq!(direct, reference);
+            assert_eq!(entry_bits(&direct), entry_bits(&reference));
+        }
+        assert_eq!(open_system_matrix(&g, 0.85).get(1, 0), 0.85 / 3.0 + 0.85 / 3.0);
+        for (direct, reference) in assemblies(&g, 0.0) {
+            assert_eq!(direct.nnz(), 0, "α = 0 leaves only zero sums, all dropped");
+            assert_eq!(direct, reference);
+        }
+    }
+
+    proptest::proptest! {
+        /// The counting-sort assembly is the triplet build it replaced,
+        /// entry for entry and bit for bit, on random multigraphs: parallel
+        /// links, self-loops, dangling pages, external-only pages and
+        /// α = 0 all occur.
+        #[test]
+        fn direct_assembly_matches_triplet_reference(
+            n in 1usize..60,
+            max_links in 0usize..6,
+            alpha_pick in 0usize..3,
+            seed in 0u64..1 << 32,
+        ) {
+            use proptest::prelude::prop_assert_eq;
+            use rand::{rngs::SmallRng, Rng, SeedableRng};
+            let alpha = [0.0, 0.85, 0.5][alpha_pick];
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut b = dpr_graph::GraphBuilder::new();
+            let s = b.add_site("a.edu");
+            let pages: Vec<u32> = (0..n).map(|_| b.add_page(s)).collect();
+            for &u in &pages {
+                // A narrow target range makes parallel links common.
+                let span = rng.gen_range(1..=n);
+                for _ in 0..rng.gen_range(0..=max_links) {
+                    b.add_link(u, rng.gen_range(0..span) as u32);
+                }
+                if rng.gen_bool(0.3) {
+                    b.add_external_links(u, rng.gen_range(1..4));
+                }
+            }
+            let g = b.build();
+            for (direct, reference) in assemblies(&g, alpha) {
+                prop_assert_eq!(&direct, &reference);
+                prop_assert_eq!(entry_bits(&direct), entry_bits(&reference));
+            }
+        }
     }
 
     #[test]

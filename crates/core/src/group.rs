@@ -718,6 +718,42 @@ impl AfferentState {
         }
     }
 
+    /// Overwrites the scores of `src`'s stored contribution in place,
+    /// keeping its rows: `scores` yields one value per stored entry, in
+    /// row order. The receive path uses it when a source re-publishes over
+    /// the page set it sent last time, which skips the page→local search
+    /// and the localized `Vec` that [`AfferentState::set`] needs.
+    ///
+    /// The effect is exactly `set` with the same rows and these scores:
+    /// bit-identical scores change nothing, otherwise every row of the
+    /// contribution goes stale (as in `set`'s same-rows path, so
+    /// `rows_recomputed` counts the same). Returns `false`, changing
+    /// nothing, when `src` has no stored contribution of `scores.len()`
+    /// rows.
+    pub fn rescore(&mut self, src: GroupId, scores: impl ExactSizeIterator<Item = f64>) -> bool {
+        let Some(stored) = self.received.get_mut(&src) else {
+            return false;
+        };
+        if stored.len() != scores.len() {
+            return false;
+        }
+        let mut changed = false;
+        for ((li, old), s) in stored.iter_mut().zip(scores) {
+            if old.to_bits() != s.to_bits() {
+                *old = s;
+                Self::index_row(&mut self.rows[*li as usize], src, s);
+                changed = true;
+            }
+        }
+        if changed {
+            self.dirty = true;
+            for &(li, _) in stored.iter() {
+                Self::mark_row(&mut self.row_dirty, &mut self.dirty_rows, li);
+            }
+        }
+        true
+    }
+
     /// Forgets `src`'s contribution entirely, as if it had never been
     /// received: its rows go stale and re-sum without it on the next
     /// refresh. For a source that no longer links into this group at all —

@@ -687,6 +687,43 @@ impl GroupState {
             sweeps_saved: 0,
         }
     }
+
+    /// Accepts the latest `Y` payload from `src`. Equivalent to
+    /// `afferent.set(src, ctx.localize(entries))` — same `X` bits, same
+    /// stale rows — but skips the localization whenever the receiver
+    /// already holds what it would produce.
+    fn receive(&mut self, src: GroupId, entries: &Arc<Vec<(PageId, f64)>>) {
+        // Receive tiers, cheapest first. A converged sender re-publishes
+        // the very allocation accepted last time (pointer identity is
+        // sound: the held `Arc` keeps it from being freed and reused). A
+        // moving sender re-publishes over the same page set — it only
+        // changes at a crawl delta — and `received[src]` holds exactly
+        // `localize(last_payload[src])`, so when every page localized (one
+        // stored row per entry) `rescore` drops the new scores onto those
+        // rows in order, with no page→local search and no `Vec`, and
+        // recognizes bit-identical scores itself. A payload with pages
+        // this group does not own falls back to a raw bit compare. Both
+        // adopt the new `Arc`, so its next re-publication hits by pointer.
+        if let Some(prev) = self.last_payload.get_mut(&src) {
+            if Arc::ptr_eq(prev, entries) {
+                return;
+            }
+            let same_pages = prev.len() == entries.len()
+                && prev.iter().zip(entries.iter()).all(|(a, b)| a.0 == b.0);
+            if same_pages
+                && (self.afferent.rescore(src, entries.iter().map(|e| e.1))
+                    || prev.iter().zip(entries.iter()).all(|(a, b)| a.1.to_bits() == b.1.to_bits()))
+            {
+                *prev = Arc::clone(entries);
+                return;
+            }
+        }
+        // Page set changed, or some page is not ours: localize once. `set`
+        // still drops a payload whose *localized* form matches (e.g. the
+        // change is confined to pages this group no longer owns).
+        self.afferent.set(src, self.ctx.localize(entries));
+        self.last_payload.insert(src, Arc::clone(entries));
+    }
 }
 
 /// Sweeps an adaptive-ε early stop avoided: when a window's solve was
@@ -809,32 +846,7 @@ impl NetNode {
             return;
         }
         if let Some(gs) = self.groups.iter_mut().find(|g| g.ctx.group_id() == part.dest_group) {
-            // Steady-state receive path: once the sender's ranks stall its
-            // re-publications are bit-identical and `set` would discard the
-            // payload unread. Cheapest check first — the very allocation
-            // accepted last time (sound: the held `Arc` keeps it from being
-            // freed and reused), then a raw `(page, bits)` scan with no
-            // page→local translation, which adopts the new `Arc` so the
-            // next re-publication hits by pointer.
-            if let Some(prev) = gs.last_payload.get_mut(&part.src_group) {
-                if Arc::ptr_eq(prev, &part.entries) {
-                    return;
-                }
-                if prev.len() == part.entries.len()
-                    && prev
-                        .iter()
-                        .zip(part.entries.iter())
-                        .all(|(&(pp, ps), &(p, s))| pp == p && ps.to_bits() == s.to_bits())
-                {
-                    *prev = Arc::clone(&part.entries);
-                    return;
-                }
-            }
-            // Raw bytes differ: localize once. `set` still drops a payload
-            // whose *localized* form matches (e.g. the change is confined
-            // to pages this group no longer owns).
-            gs.afferent.set(part.src_group, gs.ctx.localize(&part.entries));
-            gs.last_payload.insert(part.src_group, Arc::clone(&part.entries));
+            gs.receive(part.src_group, &part.entries);
         }
         // A part for a group we do not host is stale traffic after a
         // membership change; §4.2 lets nodes drop it silently.
@@ -3302,5 +3314,145 @@ mod tests {
             vec![DeltaOp::AddLink { from: own[1], to: own[0] }]
         });
         assert!(err <= 1e-9, "stale afferent Y survived the delta: rel err {err}");
+    }
+
+    #[test]
+    fn delta_and_warm_takeover_keep_rank_bits_and_row_counts() {
+        // The receive path's in-place tier leans on one invariant: the
+        // stored rows of a source are the localized form of its last
+        // accepted payload. A crawl delta that inserts and deletes pages
+        // re-localizes every payload of a dirtied group, and a warm
+        // takeover restores contributions from a checkpoint with no
+        // payload behind them; both must leave the run exactly as it was
+        // before the tier existed. Pinned from that engine: the rank bits
+        // (FNV-1a) and the afferent rows recomputed.
+        let (rank_digest, rows_recomputed) = (0x268c_2457_3a99_4266_u64, 48_635_u64);
+        let g = edu_domain(&EduDomainConfig {
+            n_pages: 1_500,
+            n_sites: 15,
+            ..EduDomainConfig::default()
+        });
+        let mut delta = GraphDelta::link_churn(&g, 0.02, 5);
+        delta.ops.push(DeltaOp::DeletePage { page: 4 });
+        delta.ops.push(DeltaOp::InsertPage { site: 1, ext_out: 1, links: vec![2, 9] });
+        let base = NetRunConfig {
+            k: 16,
+            n_nodes: 16,
+            strategy: Strategy::HashByUrl,
+            replication: 2,
+            t_end: 320.0,
+            sample_every: 4.0,
+            deltas: vec![(120.0, delta)],
+            ..NetRunConfig::default()
+        };
+        let victim = group_owners(&base)[0];
+        let crash = 200.0;
+        let res = run_over_network(
+            &g,
+            NetRunConfig {
+                departures: vec![(crash, victim)],
+                faults: Some(
+                    FaultPlan::new().with_latency(0.01).with_permanent_crash(victim, crash),
+                ),
+                ..base
+            },
+        );
+        assert!(res.counters.delta_messages > 0, "the delta must land");
+        assert!(res.counters.takeovers_warm > 0, "the crash must be survived warm");
+        assert!(res.final_rel_err < 1e-3, "rel err {}", res.final_rel_err);
+        let bits: Vec<u8> =
+            res.final_ranks.iter().flat_map(|r| r.to_bits().to_le_bytes()).collect();
+        assert_eq!(dpr_graph::urls::fnv1a(&bits), rank_digest, "rank bits moved");
+        assert_eq!(res.counters.rows_recomputed, rows_recomputed, "afferent work moved");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 64,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// `GroupState::receive` against the plain `set(localize(..))` it
+        /// stands in for, over random delivery sequences from a few
+        /// sources into one group: same pages with new (or partly, or
+        /// wholly unchanged) scores, payloads carrying pages the group
+        /// does not own, changed page sets, a re-sent `Arc`, and a
+        /// retraction followed by re-delivery. After every step both must
+        /// hold the same `X` bits, the same stale-row worklist, the same
+        /// `rows_recomputed` and the same stored contributions.
+        #[test]
+        fn in_place_receive_matches_set_of_localize(seed in 0u64..1 << 32) {
+            use proptest::prelude::prop_assert_eq;
+            use rand::{rngs::SmallRng, Rng, SeedableRng};
+            let g = toy::complete(30);
+            let partition = Partition::from_assignment(3, (0..30u32).map(|p| p % 3).collect());
+            let ctx = Arc::new(
+                GroupContext::build_all(&g, &partition, &RankConfig::default()).swap_remove(0),
+            );
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut fast = GroupState::new(Arc::clone(&ctx));
+            let mut reference = AfferentState::new(ctx.n_local());
+            let mut sent: BTreeMap<GroupId, Arc<Vec<(PageId, f64)>>> = BTreeMap::new();
+            for _ in 0..40 {
+                let src: GroupId = rng.gen_range(1..4);
+                let prev = sent.get(&src).cloned();
+                let fresh_pages = |rng: &mut SmallRng, foreign: bool| -> Vec<PageId> {
+                    (0..30u32)
+                        .filter(|p| (foreign || p % 3 == 0) && rng.gen_bool(0.4))
+                        .collect()
+                };
+                let payload: Arc<Vec<(PageId, f64)>> = match (rng.gen_range(0..6), prev) {
+                    // Same pages; each score kept or redrawn.
+                    (0 | 1, Some(p)) => {
+                        let keep = rng.gen_range(0.0..1.0);
+                        Arc::new(
+                            p.iter()
+                                .map(|&(pg, s)| {
+                                    (pg, if rng.gen_bool(keep) { s } else { rng.gen_range(0.0..1.0) })
+                                })
+                                .collect(),
+                        )
+                    }
+                    // The very allocation sent last time.
+                    (2, Some(p)) => p,
+                    // Retract (what a crawl delta does to a source that
+                    // cut its last link), then re-deliver.
+                    (3, Some(p)) => {
+                        fast.afferent.retract(src);
+                        fast.last_payload.remove(&src);
+                        reference.retract(src);
+                        Arc::new(p.to_vec())
+                    }
+                    // A new page set, some of it owned by other groups.
+                    (4, _) => Arc::new(
+                        fresh_pages(&mut rng, true)
+                            .into_iter()
+                            .map(|p| (p, rng.gen_range(0.0..1.0)))
+                            .collect(),
+                    ),
+                    // A new page set the group owns entirely.
+                    _ => Arc::new(
+                        fresh_pages(&mut rng, false)
+                            .into_iter()
+                            .map(|p| (p, rng.gen_range(0.0..1.0)))
+                            .collect(),
+                    ),
+                };
+                fast.receive(src, &payload);
+                reference.set(src, ctx.localize(&payload));
+                sent.insert(src, payload);
+                prop_assert_eq!(fast.afferent.has_stale_rows(), reference.has_stale_rows());
+                prop_assert_eq!(fast.afferent.snapshot_received(), reference.snapshot_received());
+                if rng.gen_bool(0.5) {
+                    let (mut touched_fast, mut touched_ref) = (Vec::new(), Vec::new());
+                    fast.afferent.refresh_tracked(Some(&mut touched_fast));
+                    reference.refresh_tracked(Some(&mut touched_ref));
+                    prop_assert_eq!(touched_fast, touched_ref);
+                    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(fast.afferent.x()), bits(reference.x()));
+                    prop_assert_eq!(fast.afferent.rows_recomputed(), reference.rows_recomputed());
+                }
+            }
+        }
     }
 }

@@ -244,6 +244,31 @@ fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// Elements a reader pre-allocates for a count it cannot check against
+/// the input's length; past this, the vector grows as records arrive.
+const UNCHECKED_PREALLOC: u64 = 1 << 12;
+
+/// Capacity to pre-allocate for `count` records announced by an untrusted
+/// header, each taking at least `min_bytes` of input. When the input's
+/// length is known, a count it cannot hold is [`io::ErrorKind::InvalidData`]
+/// and any other count is pre-allocated exactly; otherwise the
+/// pre-allocation is capped at [`UNCHECKED_PREALLOC`]. Either way a hostile
+/// header costs memory in proportion to the input, never to the count.
+fn header_capacity(
+    count: u64,
+    min_bytes: u64,
+    input_len: Option<u64>,
+    what: &str,
+) -> io::Result<usize> {
+    match input_len {
+        Some(len) if count > len / min_bytes => {
+            Err(invalid(format!("{what} {count} exceeds what a {len}-byte input can hold")))
+        }
+        Some(_) => usize::try_from(count).map_err(|_| invalid(format!("{what} exceeds usize"))),
+        None => Ok(count.min(UNCHECKED_PREALLOC) as usize),
+    }
+}
+
 /// Streaming writer for the binary snapshot format.
 ///
 /// Rows must be supplied for every page in ascending id order via
@@ -354,10 +379,15 @@ pub fn write_snapshot<W: Write + Seek>(g: &WebGraph, w: W) -> io::Result<()> {
 /// underlying I/O failures (including [`io::ErrorKind::UnexpectedEof`] on
 /// truncation).
 pub fn read_snapshot<R: BufRead>(mut r: R) -> io::Result<WebGraph> {
-    read_snapshot_body(&mut r)
+    read_snapshot_body(&mut r, None)
 }
 
-fn read_snapshot_body<R: BufRead>(r: &mut R) -> io::Result<WebGraph> {
+/// Reads the snapshot at the front of `r`. `input_len`, when known, is the
+/// number of bytes `r` holds; the header's site, page and link counts are
+/// checked against it before anything is sized from them. Every page row
+/// takes at least 3 bytes (three varints), every link and site name at
+/// least 1.
+fn read_snapshot_body<R: BufRead>(r: &mut R, input_len: Option<u64>) -> io::Result<WebGraph> {
     let mut magic = [0u8; 6];
     r.read_exact(&mut magic)?;
     if &magic != SNAPSHOT_MAGIC {
@@ -367,7 +397,7 @@ fn read_snapshot_body<R: BufRead>(r: &mut R) -> io::Result<WebGraph> {
     if n_sites > u64::from(u32::MAX) {
         return Err(invalid("site count exceeds u32"));
     }
-    let mut site_names = Vec::with_capacity(n_sites as usize);
+    let mut site_names = Vec::with_capacity(header_capacity(n_sites, 1, input_len, "site count")?);
     for _ in 0..n_sites {
         let len = read_varint(r)? as usize;
         if len > 1 << 16 {
@@ -386,11 +416,12 @@ fn read_snapshot_body<R: BufRead>(r: &mut R) -> io::Result<WebGraph> {
     r.read_exact(&mut links_buf)?;
     let n_links = u64::from_le_bytes(links_buf);
 
-    let mut out_ptr = Vec::with_capacity(n_pages + 1);
+    let page_cap = header_capacity(n_pages as u64, 3, input_len, "page count")?;
+    let mut out_ptr = Vec::with_capacity(page_cap + 1);
     out_ptr.push(0u64);
-    let mut out_dst = Vec::with_capacity(usize::try_from(n_links).unwrap_or(0));
-    let mut ext_out = Vec::with_capacity(n_pages);
-    let mut site_of = Vec::with_capacity(n_pages);
+    let mut out_dst = Vec::with_capacity(header_capacity(n_links, 1, input_len, "link count")?);
+    let mut ext_out = Vec::with_capacity(page_cap);
+    let mut site_of = Vec::with_capacity(page_cap);
 
     for p in 0..n_pages {
         let site = read_varint(r)?;
@@ -457,7 +488,7 @@ fn read_sorted_ids<R: Read>(r: &mut R) -> io::Result<Vec<u32>> {
     if n > u64::from(u32::MAX) {
         return Err(invalid("delta id list exceeds u32 length"));
     }
-    let mut ids = Vec::with_capacity(n as usize);
+    let mut ids = Vec::with_capacity(header_capacity(n, 1, None, "id count")?);
     let mut prev = 0u64;
     for _ in 0..n {
         prev += read_varint(r)?;
@@ -548,7 +579,7 @@ fn read_delta_body<R: Read>(r: &mut R) -> io::Result<GraphDelta> {
     if n_ops > u64::from(u32::MAX) {
         return Err(invalid("delta op count exceeds u32"));
     }
-    let mut ops = Vec::with_capacity(n_ops as usize);
+    let mut ops = Vec::with_capacity(header_capacity(n_ops, 2, None, "op count")?);
     for _ in 0..n_ops {
         let mut tag = [0u8; 1];
         r.read_exact(&mut tag)?;
@@ -611,7 +642,7 @@ pub fn delta_wire_bytes(d: &GraphDelta) -> u64 {
 /// trailing bytes that are not a well-formed delta record — and propagates
 /// underlying I/O failures.
 pub fn read_snapshot_with_deltas<R: BufRead>(mut r: R) -> io::Result<(WebGraph, Vec<GraphDelta>)> {
-    let g = read_snapshot_body(&mut r)?;
+    let g = read_snapshot_body(&mut r, None)?;
     let mut deltas = Vec::new();
     loop {
         if r.fill_buf()?.is_empty() {
@@ -637,7 +668,8 @@ pub fn save_snapshot(g: &WebGraph, path: impl AsRef<std::path::Path>) -> io::Res
 /// [`read_snapshot`].
 pub fn load_snapshot(path: impl AsRef<std::path::Path>) -> io::Result<WebGraph> {
     let f = std::fs::File::open(path)?;
-    read_snapshot(io::BufReader::new(f))
+    let len = f.metadata()?.len();
+    read_snapshot_body(&mut io::BufReader::new(f), Some(len))
 }
 
 #[cfg(test)]
@@ -778,6 +810,62 @@ mod tests {
         buf[links_at] ^= 1;
         let err = read_snapshot(buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// The 20-byte header that used to abort the process on a 34 GB
+    /// allocation: no sites, `n_pages = u32::MAX`, `n_links = u64::MAX`.
+    fn hostile_snapshot_header() -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(SNAPSHOT_MAGIC);
+        write_varint(&mut buf, 0).unwrap();
+        write_varint(&mut buf, u64::from(u32::MAX)).unwrap();
+        buf.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(buf.len(), 20);
+        buf
+    }
+
+    #[test]
+    fn snapshot_header_counts_are_checked_against_the_file_length() {
+        let path =
+            std::env::temp_dir().join(format!("dpr-graph-hostile-{}.dprg", std::process::id()));
+        std::fs::write(&path, hostile_snapshot_header()).unwrap();
+        let err = load_snapshot(&path).unwrap_err();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("page count"), "{err}");
+        // A valid file of the same reader still loads.
+        let g = toy::two_cliques(4);
+        let path =
+            std::env::temp_dir().join(format!("dpr-graph-valid-{}.dprg", std::process::id()));
+        save_snapshot(&g, &path).unwrap();
+        let back = load_snapshot(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(back, g);
+    }
+
+    #[test]
+    fn snapshot_header_counts_of_unknown_length_input_fail_closed() {
+        let err = read_snapshot(hostile_snapshot_header().as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // The same through the delta-aware reader.
+        assert!(read_snapshot_with_deltas(hostile_snapshot_header().as_slice()).is_err());
+    }
+
+    #[test]
+    fn delta_header_counts_fail_closed() {
+        // `n_ops = u32::MAX` with no ops behind it.
+        let mut buf = DELTA_MAGIC.to_vec();
+        write_varint(&mut buf, u64::from(u32::MAX)).unwrap();
+        let err = read_delta(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // One `SetLinks` op whose id list claims `u32::MAX` entries.
+        let mut buf = DELTA_MAGIC.to_vec();
+        write_varint(&mut buf, 1).unwrap();
+        buf.push(OP_SET_LINKS);
+        buf.extend_from_slice(&[0, 0]);
+        write_varint(&mut buf, u64::from(u32::MAX)).unwrap();
+        let err = read_delta(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! to the explicit kernel over the same entries — see
 //! `implicit_matches_explicit_bitwise` in the tests for the proptest.
 
+use std::sync::OnceLock;
+
 use crate::pool::{Pool, SharedSlice};
 
 /// Row count above which the pooled SpMV kernels split across the worker
@@ -155,6 +157,24 @@ impl RowPtr {
     }
 }
 
+/// The memoized contraction bound `min(‖A‖∞, ‖A‖₁)` of one matrix.
+///
+/// The bound is a property of the stored entries, yet every inner solve
+/// asks for it, and computing it costs two O(nnz) passes plus an
+/// `n_cols`-long column-sum buffer. It is filled on the first request —
+/// never at construction, so a matrix that is built and never solved pays
+/// nothing — and reset by every method that rewrites values. `==` ignores
+/// it: it is derived from the fields that are compared, so two equal
+/// matrices have equal bounds whether or not either has been asked yet.
+#[derive(Debug, Clone, Default)]
+struct NormCache(OnceLock<f64>);
+
+impl PartialEq for NormCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// A sparse matrix layout the fixed-point solvers can drive. Implemented by
 /// the explicit-value [`Csr`] and the bandwidth-lean [`CsrImplicit`]; the
 /// solvers are generic over this trait so netruns can pick the layout
@@ -170,7 +190,9 @@ pub trait SpMatVec {
     /// reusable workspace; layouts that need none leave it untouched.
     fn mul_into(&self, x: &[f64], y: &mut [f64], ws: &mut Vec<f64>, pool: &Pool);
     /// The contraction bound `min(‖A‖∞, ‖A‖₁)` used for solver error
-    /// bounds (Theorem 3.2: any norm bounds the spectral radius).
+    /// bounds (Theorem 3.2: any norm bounds the spectral radius). Both CSR
+    /// layouts compute it once and then answer in O(1) until a value
+    /// changes.
     fn contraction_norm(&self) -> f64;
     /// One Gauss–Seidel row visit: folds row `i`'s off-diagonal terms into
     /// `init` in storage order (`acc += a_ij·x[j]` for `j ≠ i`),
@@ -196,6 +218,7 @@ pub struct Csr {
     row_ptr: Vec<u64>,
     col_idx: Vec<u32>,
     values: Vec<f64>,
+    norm: NormCache,
 }
 
 impl Csr {
@@ -215,7 +238,7 @@ impl Csr {
     ) -> Self {
         assert_eq!(col_idx.len(), values.len(), "col_idx and values must match");
         validate_raw_parts(n_rows, n_cols, &row_ptr, &col_idx, col_idx.len());
-        Self { n_rows, n_cols, row_ptr, col_idx, values }
+        Self { n_rows, n_cols, row_ptr, col_idx, values, norm: NormCache::default() }
     }
 
     /// An `n × n` matrix with no stored entries.
@@ -227,6 +250,7 @@ impl Csr {
             row_ptr: vec![0; n_rows + 1],
             col_idx: Vec::new(),
             values: Vec::new(),
+            norm: NormCache::default(),
         }
     }
 
@@ -267,6 +291,7 @@ impl Csr {
         for (v, &c) in self.values.iter_mut().zip(&self.col_idx) {
             *v = scale[c as usize];
         }
+        self.norm = NormCache::default();
     }
 
     /// The `(col, value)` pairs of row `r`.
@@ -306,7 +331,7 @@ impl Csr {
     /// same per-row dot product as [`Csr::mul_vec`], so the result is
     /// bit-identical to the sequential kernel at every worker count. Falls
     /// back to the sequential kernel for small matrices or a sequential
-    /// pool; chunk boundaries come from [`spmv_chunk_rows`], a pure
+    /// pool; chunk boundaries come from `spmv_chunk_rows`, a pure
     /// function of the matrix shape.
     pub fn mul_vec_pool(&self, x: &[f64], y: &mut [f64], pool: &Pool) {
         assert_eq!(x.len(), self.n_cols);
@@ -397,7 +422,14 @@ impl Csr {
                 cursor[c] += 1;
             }
         }
-        Csr { n_rows: self.n_cols, n_cols: self.n_rows, row_ptr, col_idx, values }
+        Csr {
+            n_rows: self.n_cols,
+            n_cols: self.n_rows,
+            row_ptr,
+            col_idx,
+            values,
+            norm: NormCache::default(),
+        }
     }
 
     /// Estimates the spectral radius `ρ(A)` by power iteration on `|A|`
@@ -452,7 +484,7 @@ impl SpMatVec for Csr {
         self.mul_vec_pool(x, y, pool);
     }
     fn contraction_norm(&self) -> f64 {
-        self.inf_norm().min(self.one_norm())
+        *self.norm.0.get_or_init(|| self.inf_norm().min(self.one_norm()))
     }
     fn gs_row(&self, i: usize, init: f64, x: &[f64]) -> (f64, f64) {
         let mut acc = init;
@@ -593,6 +625,7 @@ pub struct CsrImplicit {
     /// Opt-in 4-wide unrolled accumulator (different fold order; see
     /// [`CsrImplicit::with_unrolled`]).
     unrolled: bool,
+    norm: NormCache,
 }
 
 impl CsrImplicit {
@@ -622,6 +655,7 @@ impl CsrImplicit {
             col_idx,
             scale,
             unrolled: false,
+            norm: NormCache::default(),
         }
     }
 
@@ -699,6 +733,7 @@ impl CsrImplicit {
         assert_eq!(scale.len(), self.n_cols, "scale must have one factor per column");
         assert!(scale.iter().all(|s| s.is_finite()), "scale factors must be finite");
         self.scale = scale;
+        self.norm = NormCache::default();
     }
 
     /// Heap bytes held by the matrix arrays (`row_ptr` + `col_idx` +
@@ -753,7 +788,7 @@ impl CsrImplicit {
     /// Pool-parallel SpMV: `y ← A·x`. Bit-identical to
     /// [`CsrImplicit::mul_vec`] at every worker count: the pre-scale pass
     /// is element-wise and the gather uses the same fixed chunk plan
-    /// ([`spmv_chunk_rows`]) as the explicit kernel.
+    /// (`spmv_chunk_rows`) as the explicit kernel.
     pub fn mul_vec_pool(&self, x: &[f64], y: &mut [f64], ws: &mut Vec<f64>, pool: &Pool) {
         assert_eq!(x.len(), self.n_cols);
         assert_eq!(y.len(), self.n_rows);
@@ -848,7 +883,7 @@ impl SpMatVec for CsrImplicit {
         self.mul_vec_pool(x, y, ws, pool);
     }
     fn contraction_norm(&self) -> f64 {
-        self.inf_norm().min(self.one_norm())
+        *self.norm.0.get_or_init(|| self.inf_norm().min(self.one_norm()))
     }
     fn gs_row(&self, i: usize, init: f64, x: &[f64]) -> (f64, f64) {
         // No pre-scaled workspace here: the iterate mutates mid-sweep, so
@@ -1230,6 +1265,50 @@ mod tests {
                     prop_assert_eq!(y_e[r].to_bits(), reference[r].to_bits());
                 }
             }
+        }
+
+        /// The memoized contraction norm is what a fresh computation
+        /// gives, after construction, after `set_scale`/`rescale_columns`
+        /// and on a clone, in both layouts; it is filled on first use
+        /// only; and asking for it (or solving, which asks) changes
+        /// neither `==` nor the solve's error-bound bits.
+        #[test]
+        fn memoized_norm_matches_a_fresh_computation(seed in 0u64..1u64 << 32, n in 1usize..300) {
+            use crate::gauss_seidel::GaussSeidelSolver;
+            use crate::solver::FixedPointSolver;
+            use crate::theory::contraction_error_bound;
+            let fresh = |m: &CsrImplicit| m.inf_norm().min(m.one_norm());
+            let fresh_e = |m: &Csr| m.inf_norm().min(m.one_norm());
+            let mut m = random_implicit(n, 12, 0.85, seed);
+            let mut twin = m.to_explicit();
+            prop_assert!(m.norm.0.get().is_none() && twin.norm.0.get().is_none(), "lazy");
+            prop_assert_eq!(m.contraction_norm().to_bits(), fresh(&m).to_bits());
+            prop_assert_eq!(twin.contraction_norm().to_bits(), fresh_e(&twin).to_bits());
+            let (c, ce) = (m.clone(), twin.clone());
+            prop_assert_eq!(c.contraction_norm().to_bits(), fresh(&c).to_bits());
+            prop_assert_eq!(ce.contraction_norm().to_bits(), fresh_e(&ce).to_bits());
+            // A value rewrite drops the cached bound.
+            let halved: Vec<f64> = m.scale().iter().map(|s| s * 0.5).collect();
+            m.set_scale(halved.clone());
+            twin.rescale_columns(&halved);
+            prop_assert!(m.norm.0.get().is_none() && twin.norm.0.get().is_none());
+            prop_assert_eq!(m.contraction_norm().to_bits(), fresh(&m).to_bits());
+            prop_assert_eq!(twin.contraction_norm().to_bits(), fresh_e(&twin).to_bits());
+
+            // Solved matrices equal fresh ones; reports carry the bound a
+            // fresh norm gives.
+            let solved = random_implicit(n, 12, 0.85, seed);
+            let solved_e = solved.to_explicit();
+            let f = vec![0.15; n];
+            let jacobi = FixedPointSolver::new(1e-10).solve(&solved, &f, &mut vec![0.0; n]);
+            let gs = GaussSeidelSolver::new(1e-10).solve(&solved_e, &f, &mut vec![0.0; n]);
+            let unsolved = random_implicit(n, 12, 0.85, seed);
+            prop_assert!(unsolved.norm.0.get().is_none() && solved.norm.0.get().is_some());
+            prop_assert_eq!(&solved, &unsolved);
+            prop_assert_eq!(&solved_e, &unsolved.to_explicit());
+            let bound = |delta| contraction_error_bound(fresh(&unsolved), delta).map(f64::to_bits);
+            prop_assert_eq!(jacobi.error_bound.map(f64::to_bits), bound(jacobi.final_delta));
+            prop_assert_eq!(gs.error_bound.map(f64::to_bits), bound(gs.final_delta));
         }
 
         /// Dangling columns never leak a non-finite scale into the result,

@@ -14,7 +14,7 @@
 //! The lemmas are provided as runtime *checks* over computed fixed points;
 //! the property-test suite drives them with random contractions.
 
-use crate::csr::Csr;
+use crate::csr::{Csr, SpMatVec};
 use crate::solver::FixedPointSolver;
 use crate::vec_ops;
 
@@ -24,7 +24,7 @@ use crate::vec_ops;
 /// spectral radius and the tighter one is still a bound.
 #[must_use]
 pub fn spectral_radius_upper_bound(a: &Csr) -> f64 {
-    a.inf_norm().min(a.one_norm())
+    a.contraction_norm()
 }
 
 /// Whether the iteration `x ← Ax + f` is *certified* convergent by

@@ -8,7 +8,7 @@
 //! # Chunked reductions and bit-determinism
 //!
 //! The reductions ([`l1_norm`], [`l1_diff`], [`sum`], and their `_pool`
-//! variants) all accumulate over **fixed chunks of [`REDUCE_CHUNK`]
+//! variants) all accumulate over **fixed chunks of `REDUCE_CHUNK`
 //! elements** and then fold the per-chunk partials in chunk order.
 //! Floating-point addition is not associative, so this fixed association is
 //! what makes the sequential and pooled paths return *bit-identical*

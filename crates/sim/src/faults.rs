@@ -6,7 +6,7 @@
 //! configuration — all randomness it needs is drawn from the engine's own
 //! seeded RNG, so a `(seed, plan)` pair replays bit-identically.
 //!
-//! The legacy scalar pair [`SimConfig`](crate::SimConfig)
+//! The legacy scalar pair [`SimConfig`]
 //! `{send_success_prob, latency}` converts into a trivial plan
 //! (`FaultPlan::from(cfg)`) that consumes the RNG in exactly the same
 //! pattern as the pre-plan engine did (a drop roll only when success

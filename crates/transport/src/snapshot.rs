@@ -84,6 +84,12 @@ fn decode_snapshot_from(buf: &mut &[u8]) -> Option<SnapshotFrame> {
     }
     let r: Vec<f64> = (0..n_r).map(|_| buf.get_f64()).collect();
     let n_src = buf.get_u32() as usize;
+    // Every source takes at least its 8-byte `(src, n)` header: a count
+    // the remaining input cannot hold is truncated input, and checking it
+    // first keeps a hostile count from sizing the allocation.
+    if buf.remaining() < n_src * 8 {
+        return None;
+    }
     let mut afferent = Vec::with_capacity(n_src);
     for _ in 0..n_src {
         if buf.remaining() < 8 {
@@ -163,6 +169,19 @@ mod tests {
         for cut in [0, 3, 11, 15, 16, buf.len() - 1] {
             assert!(decode_snapshot(&buf[..cut]).is_none(), "cut={cut}");
         }
+    }
+
+    #[test]
+    fn hostile_source_count_is_rejected() {
+        // A frame with no rank entries whose source count claims
+        // `u32::MAX` sources and carries none.
+        let mut buf = BytesMut::new();
+        buf.put_u32(7);
+        buf.put_u64(1);
+        buf.put_u32(0);
+        buf.put_u32(u32::MAX);
+        assert!(decode_snapshot(&buf).is_none());
+        assert!(decode_snapshot_batch(&buf).is_none());
     }
 
     #[test]
